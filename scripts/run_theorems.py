@@ -7,61 +7,23 @@ then replays every trace as a final consistency check.
 
 import time
 
-from commuter.duality import (
-    theorem1_dual_inverse,
-    theorem1_dual_signature,
-    theorem1_signature,
-    theorem3_signature,
-    verify_theorem1,
-    verify_theorem3,
-)
-from commuter.prover import RewriteRule, replay
-
-
-def show(label, trace):
-    print(f"{label}: {len(trace.steps)} steps")
-    for k, step in enumerate(trace.steps, start=1):
-        m = step.match
-        print(
-            f"  {k}. {step.rule} {step.direction} @ slices[{m.start}..{m.end}] "
-            f"whisker {m.whisker_left}"
-        )
+from commuter.cli import Output, _print_trace
+from commuter.duality import GOALS, load_theorem, prove_theorem
+from commuter.prover import replay, rules_from_signature
 
 
 def main():
-    t0 = time.monotonic()
-    right, left = verify_theorem1()
-    t1 = time.monotonic()
-    show("alpha after gamma = id A X", right)
-    show("gamma after alpha = id X A", left)
-    print(f"  ({t1 - t0:.3f}s)")
-
-    t0 = time.monotonic()
-    t3 = verify_theorem3()
-    t1 = time.monotonic()
-    show("unit-counit composite = a", t3)
-    print(f"  ({t1 - t0:.3f}s)")
-
-    t0 = time.monotonic()
-    d_right, d_left = theorem1_dual_inverse()
-    t1 = time.monotonic()
-    show("b after delta = id X B", d_right)
-    show("delta after b = id B X", d_left)
-    print(f"  ({t1 - t0:.3f}s)")
-
-    sig1, _ = theorem1_signature()
-    rules1 = [RewriteRule(n, l, r) for n, l, r in sig1.equations]
-    sig3, _ = theorem3_signature()
-    rules3 = [RewriteRule(n, l, r) for n, l, r in sig3.equations]
-    sig_dual, _ = theorem1_dual_signature()
-    rules_dual = [RewriteRule(n, l, r) for n, l, r in sig_dual.equations]
-    checks = [
-        replay(right, rules1),
-        replay(left, rules1),
-        replay(t3, rules3),
-        replay(d_right, rules_dual),
-        replay(d_left, rules_dual),
-    ]
+    out = Output()
+    checks = []
+    for name in GOALS:
+        t0 = time.monotonic()
+        proved = prove_theorem(name)
+        t1 = time.monotonic()
+        for label, trace in proved:
+            _print_trace(out, label, trace)
+        print(f"  ({t1 - t0:.3f}s)")
+        rules = rules_from_signature(load_theorem(name).signature)
+        checks += [replay(trace, rules) for _, trace in proved]
     print("replays:", "all ok" if all(checks) else f"FAILED {checks}")
     return 0 if all(checks) else 1
 

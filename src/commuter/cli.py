@@ -22,7 +22,7 @@ import sys
 from dataclasses import dataclass, field
 
 from .core import Diagram, boundaries, fmt_word
-from .duality import theorem1_dual_inverse, verify_theorem1, verify_theorem3
+from .duality import prove_theorem
 from .dsl import Document, load_document, parse_term, print_term
 from .errors import BudgetError, CommuterError, NumericError, SearchExhausted
 from .exchange import canonicalize, interchange_equal
@@ -133,8 +133,16 @@ def _residual_report(out: Output, command: str, report) -> int:
 
 # ---------------------------------------------------------------- commands
 
+def _load(path: str) -> Document:
+    """Load a document; a path that cannot be read is a usage error."""
+    try:
+        return load_document(path)
+    except OSError as e:
+        raise CommuterError(f"cannot read {path}: {e.strerror or e}") from None
+
+
 def cmd_check(args, out: Output) -> int:
-    doc = load_document(args.file)
+    doc = _load(args.file)
     sig = doc.signature
     out.text(f"objects: {len(sig.objects)} ({' '.join(sig.objects)})")
     out.text(f"generators: {len(sig.morphisms)}")
@@ -144,9 +152,9 @@ def cmd_check(args, out: Output) -> int:
     for name, dia in doc.diagrams.items():
         src, dst = boundaries(dia)
         out.text(f"  {name} : {fmt_word(src)} -> {fmt_word(dst)} ({len(dia.slices)} slices)")
-    out.text(f"rules: {len(doc.rules)}")
-    for name, rule in doc.rules.items():
-        src, dst = boundaries(rule.lhs)
+    out.text(f"rules: {len(sig.equations)}")
+    for name, lhs, _ in sig.equations:
+        src, dst = boundaries(lhs)
         out.text(f"  {name} : {fmt_word(src)} -> {fmt_word(dst)}")
     out.emit(
         {
@@ -154,14 +162,14 @@ def cmd_check(args, out: Output) -> int:
             "objects": list(sig.objects),
             "generators": len(sig.morphisms),
             "diagrams": len(doc.diagrams),
-            "rules": len(doc.rules),
+            "rules": len(sig.equations),
         }
     )
     return out.status("ok", EXIT_OK)
 
 
 def _load_terms(args) -> tuple[Document, Diagram, Diagram | None]:
-    doc = load_document(args.file)
+    doc = _load(args.file)
     lhs = parse_term(args.lhs, doc)
     rhs = parse_term(args.rhs, doc) if getattr(args, "rhs", None) else None
     return doc, lhs, rhs
@@ -208,20 +216,19 @@ def cmd_prove(args, out: Output) -> int:
     return out.status("ok", EXIT_OK)
 
 
-def cmd_theorem1(args, out: Output) -> int:
-    trace_right, trace_left = verify_theorem1()
-    _print_trace(out, "alpha after gamma = id A X", trace_right)
-    _print_trace(out, "gamma after alpha = id X A", trace_left)
+def _print_theorems(out: Output, *names: str) -> int:
+    for name in names:
+        for label, trace in prove_theorem(name):
+            _print_trace(out, label, trace)
     return out.status("ok", EXIT_OK)
+
+
+def cmd_theorem1(args, out: Output) -> int:
+    return _print_theorems(out, "theorem1")
 
 
 def cmd_theorem3(args, out: Output) -> int:
-    trace = verify_theorem3()
-    _print_trace(out, "unit-counit composite = a", trace)
-    dual_right, dual_left = theorem1_dual_inverse()
-    _print_trace(out, "b after delta = id X B", dual_right)
-    _print_trace(out, "delta after b = id B X", dual_left)
-    return out.status("ok", EXIT_OK)
+    return _print_theorems(out, "theorem3", "theorem1_dual")
 
 
 def cmd_finset_atom(args, out: Output) -> int:
@@ -282,6 +289,16 @@ def cmd_finset_copower(args, out: Output) -> int:
     return out.status("ok" if ok else "failed", EXIT_OK if ok else EXIT_FAILED)
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError
+    return value
+
+
+_positive_int.__name__ = "positive int"  # argparse embeds the converter name in errors
+
+
 def _parse_dims(text: str) -> tuple[int, int]:
     parts = text.split(",")
     if len(parts) != 2:
@@ -333,8 +350,8 @@ def build_parser() -> _Parser:
     p.add_argument("--file", required=True)
     p.add_argument("--lhs", required=True)
     p.add_argument("--rhs", required=True)
-    p.add_argument("--max-depth", type=int, default=8)
-    p.add_argument("--max-nodes", type=int, default=50_000)
+    p.add_argument("--max-depth", type=_positive_int, default=8)
+    p.add_argument("--max-nodes", type=_positive_int, default=50_000)
     p.set_defaults(run=cmd_prove)
 
     p = sub.add_parser("theorem1", help="inverse of a commutation map, both sides")

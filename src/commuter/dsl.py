@@ -84,11 +84,10 @@ def tokenize(text: str) -> list[Token]:
 
 @dataclass
 class Document:
-    """A parsed .cmt file: the signature plus named diagrams and rules."""
+    """A parsed .cmt file: the signature (rules are its equations) plus named diagrams."""
 
     signature: Signature = field(default_factory=Signature)
     diagrams: dict[str, Diagram] = field(default_factory=dict)
-    rules: dict[str, RewriteRule] = field(default_factory=dict)
 
 
 _TERM_START = ("id", "generator or diagram name", "(")
@@ -144,7 +143,8 @@ class _Parser:
     def fresh_name(self, tok: Token) -> str:
         name = tok.text
         sig = self.doc.signature
-        if name in sig.objects or name in sig.morphisms or name in self.doc.diagrams or name in self.doc.rules:
+        rules = {n for n, _, _ in sig.equations}
+        if name in sig.objects or name in sig.morphisms or name in self.doc.diagrams or name in rules:
             raise ParseError(f"name {name!r} already declared", tok.line, tok.col)
         return name
 
@@ -179,11 +179,10 @@ class _Parser:
         eq = self.expect("EQUALS", "'='")
         rhs = self.term()
         try:
-            rule = RewriteRule(name, lhs, rhs)
+            RewriteRule(name, lhs, rhs)  # boundaries and MAX_RULE_SLICES
         except (TypingError, ValueError) as e:
             raise ParseError(str(e), eq.line, eq.col) from e
         self.doc.signature.add_equation(name, lhs, rhs)
-        self.doc.rules[name] = rule
 
     # ------------------------------------------------------------ words, terms
 
@@ -299,6 +298,6 @@ def print_document(doc: Document) -> str:
         lines.append(f"gen {gen.name} : {fmt_word(gen.dom)} -> {fmt_word(gen.cod)}")
     for name, dia in doc.diagrams.items():
         lines.append(f"dia {name} = {print_term(dia)}")
-    for name, rule in doc.rules.items():
-        lines.append(f"rule {name} : {print_term(rule.lhs)} = {print_term(rule.rhs)}")
+    for name, lhs, rhs in doc.signature.equations:
+        lines.append(f"rule {name} : {print_term(lhs)} = {print_term(rhs)}")
     return "\n".join(lines) + "\n"

@@ -1,397 +1,92 @@
-"""Dual pairs, commutation structures, and the theorem drivers.
+"""The worked theorems, loaded from ``theorems/*.cmt`` and proved by search.
 
-A dual pair (A, B) carries a unit eta : 1 -> B A and a counit eps : A B -> 1
-satisfying the two zigzag equations.  A commutation structure on a word A
-(over a fixed word X) is a map X A -> A X; its co-variant counterpart maps
-A X -> X A.  The drivers below build the relevant signatures and prove, with
-the bounded prover:
+Each document states one theorem as data: the objects, the generators (a
+dual pair eta : 1 -> B A, eps : A B -> 1 plus the commutation maps), the
+hypotheses as rules, and the diagrams its goals mention.  A goal is a pair of
+terms in that document, proved exactly as ``commuter prove`` would prove it:
 
-* ``verify_theorem1``: the mate-style composite gamma is a two-sided inverse
-  of a commutation structure alpha whenever alpha and its companion beta fit
-  into the unit and counit squares.
-* ``verify_theorem3``: in the co-variant setting the analogous composite,
-  built from the inverse of the B-side co-commutation, equals the A-side
-  co-commutation on the nose.
-* ``theorem1_dual_inverse``: the mirrored composite delta inverts the B-side
-  co-commutation, using only the co-variant squares and the zigzags.
+* ``theorem1``: the mate-style composite gamma is a two-sided inverse of a
+  commutation map alpha whenever alpha and its companion beta fit into the
+  unit and counit squares.
+* ``theorem3``: in the co-variant setting the analogous composite, built from
+  the inverse binv of the B-side co-commutation, equals the A-side
+  co-commutation a on the nose.
+* ``theorem1_dual``: the mirrored composite delta inverts the B-side
+  co-commutation b, using only the co-variant squares and the zigzags.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from pathlib import Path
 
-from .core import (
-    Diagram,
-    MorGen,
-    Signature,
-    Slice,
-    Word,
-    boundaries,
-    codomain,
-    compose,
-    fmt_word,
-    gen_diagram,
-    identity,
-    tensor,
-    whisker,
-)
-from .errors import TypingError
-from .prover import ProofTrace, RewriteRule, SearchBudget, prove_equal
+from .core import MorGen, Signature
+from .dsl import Document, load_document, parse_term
+from .prover import ProofTrace, SearchBudget, prove_equal, rules_from_signature
 
+THEOREMS = Path(__file__).parent / "theorems"
 
-@dataclass(frozen=True, slots=True)
-class DualityData:
-    """A dual pair: unit and counit generators for words a and b."""
-
-    a: Word
-    b: Word
-    eta: MorGen  # 1 -> b a
-    eps: MorGen  # a b -> 1
-
-    def __post_init__(self):
-        if self.eta.dom != () or self.eta.cod != self.b + self.a:
-            raise TypingError(
-                f"unit must be 1 -> {fmt_word(self.b + self.a)}, "
-                f"got {fmt_word(self.eta.dom)} -> {fmt_word(self.eta.cod)}"
-            )
-        if self.eps.dom != self.a + self.b or self.eps.cod != ():
-            raise TypingError(
-                f"counit must be {fmt_word(self.a + self.b)} -> 1, "
-                f"got {fmt_word(self.eps.dom)} -> {fmt_word(self.eps.cod)}"
-            )
-
-    def triangle_rules(self) -> tuple[RewriteRule, RewriteRule]:
-        """The zigzag equations, as rules named triangle_A and triangle_B."""
-        a, b = self.a, self.b
-        zig_a = compose(
-            tensor(identity(a), gen_diagram(self.eta)),
-            tensor(gen_diagram(self.eps), identity(a)),
-        )
-        zig_b = compose(
-            tensor(gen_diagram(self.eta), identity(b)),
-            tensor(identity(b), gen_diagram(self.eps)),
-        )
-        return (
-            RewriteRule("triangle_A", zig_a, identity(a)),
-            RewriteRule("triangle_B", zig_b, identity(b)),
-        )
+# theorem -> (label, lhs term, rhs term) per goal, in proof order
+GOALS = {
+    "theorem1": (
+        ("alpha after gamma = id A X", "alpha_after_gamma", "id A X"),
+        ("gamma after alpha = id X A", "gamma_after_alpha", "id X A"),
+    ),
+    "theorem3": (("unit-counit composite = a", "expr", "a"),),
+    "theorem1_dual": (
+        ("b after delta = id X B", "b_after_delta", "id X B"),
+        ("delta after b = id B X", "delta_after_b", "id B X"),
+    ),
+}
 
 
-def declare_duality(sig: Signature, a: Word, b: Word, eta: str = "eta", eps: str = "eps") -> DualityData:
-    """Add unit/counit generators to ``sig`` and register the zigzag rules."""
-    eta_gen = sig.add_morphism(eta, (), tuple(b) + tuple(a))
-    eps_gen = sig.add_morphism(eps, tuple(a) + tuple(b), ())
-    data = DualityData(tuple(a), tuple(b), eta_gen, eps_gen)
-    for rule in data.triangle_rules():
-        sig.add_equation(rule.name, rule.lhs, rule.rhs)
-    return data
+def load_theorem(name: str) -> Document:
+    """Parse the shipped document of one theorem."""
+    return load_document(THEOREMS / f"{name}.cmt")
 
 
-@dataclass(frozen=True, slots=True)
-class CommutationStructure:
-    """A word ``carrier`` together with a map X carrier -> carrier X.
-
-    ``action`` may be a single slice, a composite, or empty (the trivial
-    structure on the unit carrier).
-    """
-
-    x: Word
-    carrier: Word
-    action: Diagram
-
-    def __post_init__(self):
-        if boundaries(self.action) != (self.x + self.carrier, self.carrier + self.x):
-            raise TypingError(
-                f"commutation action must be {fmt_word(self.x + self.carrier)} -> "
-                f"{fmt_word(self.carrier + self.x)}, got "
-                f"{fmt_word(self.action.input)} -> {fmt_word(codomain(self.action))}"
-            )
-
-    @staticmethod
-    def from_gen(x: Word, gen: MorGen) -> CommutationStructure:
-        carrier = gen.dom[len(x):]
-        return CommutationStructure(tuple(x), carrier, gen_diagram(gen))
-
-    @staticmethod
-    def trivial(x: Word) -> CommutationStructure:
-        return CommutationStructure(tuple(x), (), identity(tuple(x)))
+def prove_theorem(name: str, budget: SearchBudget = SearchBudget()) -> list[tuple[str, ProofTrace]]:
+    """Prove every goal of a theorem under its document's rules."""
+    doc = load_theorem(name)
+    rules = rules_from_signature(doc.signature)
+    return [
+        (label, prove_equal(parse_term(lhs, doc), parse_term(rhs, doc), rules, budget))
+        for label, lhs, rhs in GOALS[name]
+    ]
 
 
-@dataclass(frozen=True, slots=True)
-class CoCommutationStructure:
-    """A word ``carrier`` together with a map carrier X -> X carrier."""
-
-    x: Word
-    carrier: Word
-    action: Diagram
-
-    def __post_init__(self):
-        if boundaries(self.action) != (self.carrier + self.x, self.x + self.carrier):
-            raise TypingError(
-                f"co-commutation action must be {fmt_word(self.carrier + self.x)} -> "
-                f"{fmt_word(self.x + self.carrier)}, got "
-                f"{fmt_word(self.action.input)} -> {fmt_word(codomain(self.action))}"
-            )
-
-    @staticmethod
-    def from_gen(x: Word, gen: MorGen) -> CoCommutationStructure:
-        carrier = gen.dom[: len(gen.dom) - len(x)]
-        return CoCommutationStructure(tuple(x), carrier, gen_diagram(gen))
-
-    @staticmethod
-    def trivial(x: Word) -> CoCommutationStructure:
-        return CoCommutationStructure(tuple(x), (), identity(tuple(x)))
-
-
-def tensor_commutation(s: CommutationStructure, t: CommutationStructure) -> Diagram:
-    """The structure on carrier(s) carrier(t): act on s first, then on t.
-
-    X A B -> A X B -> A B X; with single-generator structures this is the
-    two-slice diagram (alpha tensor B) then (A tensor beta).
-    """
-    if s.x != t.x:
-        raise TypingError(f"structures commute with different words: {fmt_word(s.x)} vs {fmt_word(t.x)}")
-    first = whisker(s.action, (), t.carrier)
-    second = whisker(t.action, s.carrier, ())
-    return compose(first, second)
-
-
-def tensor_structure(s: CommutationStructure, t: CommutationStructure) -> CommutationStructure:
-    return CommutationStructure(s.x, s.carrier + t.carrier, tensor_commutation(s, t))
-
-
-def cocommutation_tensor(s: CoCommutationStructure, t: CoCommutationStructure) -> Diagram:
-    """The co-structure on carrier(t) carrier(s): B A X -> B X A -> X B A."""
-    if s.x != t.x:
-        raise TypingError(f"structures commute with different words: {fmt_word(s.x)} vs {fmt_word(t.x)}")
-    first = whisker(s.action, t.carrier, ())
-    second = whisker(t.action, (), s.carrier)
-    return compose(first, second)
-
-
-def cocommutation_tensor_structure(
-    s: CoCommutationStructure, t: CoCommutationStructure
-) -> CoCommutationStructure:
-    return CoCommutationStructure(s.x, t.carrier + s.carrier, cocommutation_tensor(s, t))
-
-
-def commutation_square(
-    f: MorGen,
-    src: CommutationStructure,
-    dst: CommutationStructure,
-    name: str | None = None,
-) -> RewriteRule:
-    """The condition for f : carrier(src) -> carrier(dst) to respect the structures.
-
-    lhs = (f tensor X) after src's action, rhs = dst's action after (X tensor f);
-    both map X carrier(src) -> carrier(dst) X.
-    """
-    if f.dom != src.carrier or f.cod != dst.carrier:
-        raise TypingError(
-            f"{f.name} : {fmt_word(f.dom)} -> {fmt_word(f.cod)} does not connect "
-            f"carriers {fmt_word(src.carrier)} and {fmt_word(dst.carrier)}"
-        )
-    if src.x != dst.x:
-        raise TypingError("structures commute with different words")
-    x = src.x
-    lhs = compose(src.action, tensor(gen_diagram(f), identity(x)))
-    rhs = compose(tensor(identity(x), gen_diagram(f)), dst.action)
-    return RewriteRule(name or f"{f.name}_square", lhs, rhs)
-
-
-def cocommutation_square(
-    f: MorGen,
-    src: CoCommutationStructure,
-    dst: CoCommutationStructure,
-    name: str | None = None,
-) -> RewriteRule:
-    """Co-variant version: dst's action after (f tensor X) = (X tensor f) after src's."""
-    if f.dom != src.carrier or f.cod != dst.carrier:
-        raise TypingError(
-            f"{f.name} : {fmt_word(f.dom)} -> {fmt_word(f.cod)} does not connect "
-            f"carriers {fmt_word(src.carrier)} and {fmt_word(dst.carrier)}"
-        )
-    if src.x != dst.x:
-        raise TypingError("structures commute with different words")
-    x = src.x
-    lhs = compose(tensor(gen_diagram(f), identity(x)), dst.action)
-    rhs = compose(src.action, tensor(identity(x), gen_diagram(f)))
-    return RewriteRule(name or f"{f.name}_cosquare", lhs, rhs)
-
-
-def theorem1_gamma(s: CommutationStructure, d: DualityData, t: CommutationStructure) -> Diagram:
-    """The candidate inverse of s's action: unit, then t's action beside A, then counit.
-
-    A X -> A X B A -> A B X A -> X A.  Only the companion structure t and the
-    dual pair enter the construction; s fixes the typing.
-    """
-    _check_triple(s, d, t)
-    a, x = d.a, s.x
-    step1 = tensor(identity(a + x), gen_diagram(d.eta))
-    step2 = whisker(t.action, a, a)
-    step3 = tensor(gen_diagram(d.eps), identity(x + a))
-    return compose(compose(step1, step2), step3)
-
-
-def _check_triple(s, d: DualityData, t) -> None:
-    if s.carrier != d.a:
-        raise TypingError(f"first structure must live on {fmt_word(d.a)}")
-    if t.carrier != d.b:
-        raise TypingError(f"second structure must live on {fmt_word(d.b)}")
-    if s.x != t.x:
-        raise TypingError("structures commute with different words")
+def _signature(name: str) -> tuple[Signature, dict[str, MorGen]]:
+    sig = load_theorem(name).signature
+    return sig, dict(sig.morphisms)
 
 
 def theorem1_signature() -> tuple[Signature, dict[str, MorGen]]:
     """Objects X, A, B; generators alpha, beta, eta, eps; the four hypothesis rules."""
-    sig = Signature()
-    for o in ("X", "A", "B"):
-        sig.add_object(o)
-    alpha = sig.add_morphism("alpha", ("X", "A"), ("A", "X"))
-    beta = sig.add_morphism("beta", ("X", "B"), ("B", "X"))
-    dual = declare_duality(sig, ("A",), ("B",))
-
-    s = CommutationStructure.from_gen(("X",), alpha)
-    t = CommutationStructure.from_gen(("X",), beta)
-    ba = tensor_structure(t, s)  # the structure on B A
-    ab = tensor_structure(s, t)  # the structure on A B
-    eta_square = commutation_square(dual.eta, CommutationStructure.trivial(("X",)), ba)
-    eps_square = commutation_square(dual.eps, ab, CommutationStructure.trivial(("X",)))
-    sig.add_equation(eta_square.name, eta_square.lhs, eta_square.rhs)
-    sig.add_equation(eps_square.name, eps_square.lhs, eps_square.rhs)
-    gens = {"alpha": alpha, "beta": beta, "eta": dual.eta, "eps": dual.eps}
-    return sig, gens
-
-
-def verify_theorem1(budget: SearchBudget = SearchBudget()) -> tuple[ProofTrace, ProofTrace]:
-    """Prove alpha.gamma = id(A X) and gamma.alpha = id(X A).
-
-    Returns the two traces (composition read right to left: alpha.gamma means
-    gamma first).
-    """
-    sig, gens = theorem1_signature()
-    alpha, beta = gens["alpha"], gens["beta"]
-    dual = DualityData(("A",), ("B",), gens["eta"], gens["eps"])
-    s = CommutationStructure.from_gen(("X",), alpha)
-    t = CommutationStructure.from_gen(("X",), beta)
-    gamma = theorem1_gamma(s, dual, t)
-    rules = [RewriteRule(n, l, r) for n, l, r in sig.equations]
-
-    alpha_after_gamma = compose(gamma, gen_diagram(alpha))
-    gamma_after_alpha = compose(gen_diagram(alpha), gamma)
-    trace_right = prove_equal(alpha_after_gamma, identity(("A", "X")), rules, budget)
-    trace_left = prove_equal(gamma_after_alpha, identity(("X", "A")), rules, budget)
-    return trace_right, trace_left
+    return _signature("theorem1")
 
 
 def theorem3_signature() -> tuple[Signature, dict[str, MorGen]]:
-    """Co-variant setting with an explicit inverse for the B-side structure.
-
-    Generators a : A X -> X A, b : B X -> X B, binv : X B -> B X, plus the
-    dual pair; rules are the zigzags, both inverse laws for b, and the unit
-    and counit co-commutation squares.
-    """
-    sig = Signature()
-    for o in ("X", "A", "B"):
-        sig.add_object(o)
-    a = sig.add_morphism("a", ("A", "X"), ("X", "A"))
-    b = sig.add_morphism("b", ("B", "X"), ("X", "B"))
-    binv = sig.add_morphism("binv", ("X", "B"), ("B", "X"))
-    dual = declare_duality(sig, ("A",), ("B",))
-
-    sig.add_equation(
-        "b_inv_left",
-        compose(gen_diagram(b), gen_diagram(binv)),
-        identity(("B", "X")),
-    )
-    sig.add_equation(
-        "b_inv_right",
-        compose(gen_diagram(binv), gen_diagram(b)),
-        identity(("X", "B")),
-    )
-    sa = CoCommutationStructure.from_gen(("X",), a)
-    sb = CoCommutationStructure.from_gen(("X",), b)
-    ba = cocommutation_tensor_structure(sa, sb)  # carrier B A
-    ab = cocommutation_tensor_structure(sb, sa)  # carrier A B
-    eta_sq = cocommutation_square(dual.eta, CoCommutationStructure.trivial(("X",)), ba)
-    eps_sq = cocommutation_square(dual.eps, ab, CoCommutationStructure.trivial(("X",)))
-    sig.add_equation(eta_sq.name, eta_sq.lhs, eta_sq.rhs)
-    sig.add_equation(eps_sq.name, eps_sq.lhs, eps_sq.rhs)
-    gens = {"a": a, "b": b, "binv": binv, "eta": dual.eta, "eps": dual.eps}
-    return sig, gens
-
-
-def theorem3_expression(d: DualityData, binv: MorGen, x: Word) -> Diagram:
-    """Unit, then binv beside A, then counit: A X -> X A.
-
-    The same stored shape as theorem1_gamma with the companion action replaced
-    by the inverse co-commutation.
-    """
-    if binv.dom != tuple(x) + d.b or binv.cod != d.b + tuple(x):
-        raise TypingError(
-            f"{binv.name} must be {fmt_word(tuple(x) + d.b)} -> {fmt_word(d.b + tuple(x))}"
-        )
-    a = d.a
-    step1 = tensor(identity(a + tuple(x)), gen_diagram(d.eta))
-    step2 = whisker(gen_diagram(binv), a, a)
-    step3 = tensor(gen_diagram(d.eps), identity(tuple(x) + a))
-    return compose(compose(step1, step2), step3)
-
-
-def verify_theorem3(budget: SearchBudget = SearchBudget()) -> ProofTrace:
-    """Prove the unit/counit composite equals the A-side co-commutation."""
-    sig, gens = theorem3_signature()
-    dual = DualityData(("A",), ("B",), gens["eta"], gens["eps"])
-    expr = theorem3_expression(dual, gens["binv"], ("X",))
-    rules = [RewriteRule(n, l, r) for n, l, r in sig.equations]
-    return prove_equal(expr, gen_diagram(gens["a"]), rules, budget)
+    """Generators a, b, binv and the dual pair; zigzags, inverse laws for b, co-squares."""
+    return _signature("theorem3")
 
 
 def theorem1_dual_signature() -> tuple[Signature, dict[str, MorGen]]:
     """The co-variant setting without binv: zigzags plus both co-squares."""
-    sig = Signature()
-    for o in ("X", "A", "B"):
-        sig.add_object(o)
-    a = sig.add_morphism("a", ("A", "X"), ("X", "A"))
-    b = sig.add_morphism("b", ("B", "X"), ("X", "B"))
-    dual = declare_duality(sig, ("A",), ("B",))
-    sa = CoCommutationStructure.from_gen(("X",), a)
-    sb = CoCommutationStructure.from_gen(("X",), b)
-    ba = cocommutation_tensor_structure(sa, sb)
-    ab = cocommutation_tensor_structure(sb, sa)
-    eta_sq = cocommutation_square(dual.eta, CoCommutationStructure.trivial(("X",)), ba)
-    eps_sq = cocommutation_square(dual.eps, ab, CoCommutationStructure.trivial(("X",)))
-    sig.add_equation(eta_sq.name, eta_sq.lhs, eta_sq.rhs)
-    sig.add_equation(eps_sq.name, eps_sq.lhs, eps_sq.rhs)
-    gens = {"a": a, "b": b, "eta": dual.eta, "eps": dual.eps}
-    return sig, gens
+    return _signature("theorem1_dual")
+
+
+def verify_theorem1(budget: SearchBudget = SearchBudget()) -> tuple[ProofTrace, ProofTrace]:
+    """The traces of alpha.gamma = id(A X) and gamma.alpha = id(X A)."""
+    right, left = prove_theorem("theorem1", budget)
+    return right[1], left[1]
+
+
+def verify_theorem3(budget: SearchBudget = SearchBudget()) -> ProofTrace:
+    """The trace of the unit/counit composite = a."""
+    ((_, trace),) = prove_theorem("theorem3", budget)
+    return trace
 
 
 def theorem1_dual_inverse(budget: SearchBudget = SearchBudget()) -> tuple[ProofTrace, ProofTrace]:
-    """Prove delta := (eta X B) ; (B a B) ; (B X eps) is a two-sided inverse of b.
-
-    Uses only the zigzags and the two co-commutation squares; the inverse
-    generator binv plays no part here.
-    """
-    sig, gens = theorem1_dual_signature()
-    dual = DualityData(("A",), ("B",), gens["eta"], gens["eps"])
-    sa = CoCommutationStructure.from_gen(("X",), gens["a"])
-    delta = theorem1_delta(dual, sa, ("X",))
-    rules = [RewriteRule(n, l, r) for n, l, r in sig.equations]
-    b = gens["b"]
-    b_after_delta = compose(delta, gen_diagram(b))
-    delta_after_b = compose(gen_diagram(b), delta)
-    trace_right = prove_equal(b_after_delta, identity(("X", "B")), rules, budget)
-    trace_left = prove_equal(delta_after_b, identity(("B", "X")), rules, budget)
-    return trace_right, trace_left
-
-
-def theorem1_delta(d: DualityData, s: CoCommutationStructure, x: Word) -> Diagram:
-    """The mirrored candidate inverse: X B -> B A X B -> B X A B -> B X."""
-    if s.carrier != d.a:
-        raise TypingError(f"co-structure must live on {fmt_word(d.a)}")
-    b = d.b
-    step1 = tensor(gen_diagram(d.eta), identity(tuple(x) + b))
-    step2 = whisker(s.action, b, b)
-    step3 = tensor(identity(b + tuple(x)), gen_diagram(d.eps))
-    return compose(compose(step1, step2), step3)
+    """The traces of b.delta = id(X B) and delta.b = id(B X)."""
+    right, left = prove_theorem("theorem1_dual", budget)
+    return right[1], left[1]

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Diagram, MorGen, Slice, boundaries, codomain, fmt_word
+from .core import Diagram, MorGen, Slice, boundaries, codomain, fmt_word, intermediate_words
 from .errors import MatchInvalidError, SearchExhausted, SignatureError, TypingError
 from .exchange import LINEARIZATION_CAP, canonicalize, interchange_equal, linearizations
 
@@ -103,28 +103,6 @@ class SearchBudget:
             raise ValueError("budget values must be positive")
 
 
-def _word_at(lin: Diagram, position: int) -> tuple[str, ...]:
-    w = lin.input
-    for s in lin.slices[:position]:
-        lo = s.offset
-        w = w[:lo] + s.gen.cod + w[lo + len(s.gen.dom) :]
-    return w
-
-
-def _block_matches(lin: Diagram, start: int, side: Diagram, k: int) -> bool:
-    """Does side, shifted by k, occupy slices [start, start+len) of lin?"""
-    end = start + len(side.slices)
-    if not 0 <= start <= end <= len(lin.slices):
-        return False
-    if k < 0:
-        return False
-    for got, want in zip(lin.slices[start:end], side.slices):
-        if got.gen != want.gen or got.offset != want.offset + k:
-            return False
-    w = _word_at(lin, start)
-    return w[k : k + len(side.input)] == side.input
-
-
 def _splice(lin: Diagram, start: int, end: int, k: int, replacement: Diagram) -> Diagram:
     moved = tuple(Slice(s.offset + k, s.gen) for s in replacement.slices)
     return Diagram(lin.input, lin.slices[:start] + moved + lin.slices[end:])
@@ -149,7 +127,7 @@ def find_matches(d: Diagram, side: Diagram, cap: int = LINEARIZATION_CAP) -> lis
     seen: set[Diagram] = set()
     nslices = len(side.slices)
     for li, lin in enumerate(lins):
-        words = _all_words(lin)
+        words = intermediate_words(lin)
         if nslices > 0:
             for start in range(len(lin.slices) - nslices + 1):
                 k = lin.slices[start].offset - side.slices[0].offset
@@ -171,17 +149,8 @@ def find_matches(d: Diagram, side: Diagram, cap: int = LINEARIZATION_CAP) -> lis
     return out
 
 
-def _all_words(lin: Diagram) -> list[tuple[str, ...]]:
-    words = [lin.input]
-    w = lin.input
-    for s in lin.slices:
-        lo = s.offset
-        w = w[:lo] + s.gen.cod + w[lo + len(s.gen.dom) :]
-        words.append(w)
-    return words
-
-
 def _block_same(lin: Diagram, start: int, side: Diagram, k: int) -> bool:
+    """Do side's slices, shifted by k, occupy lin's slices from ``start`` on?"""
     for got, want in zip(lin.slices[start : start + len(side.slices)], side.slices):
         if got.gen != want.gen or got.offset != want.offset + k:
             return False
@@ -215,10 +184,14 @@ def _match_valid(d: Diagram, src: Diagram, m: Match) -> bool:
         return False
     if m.whisker_left < 0 or m.whisker_right < 0:
         return False
-    if not _block_matches(m.lin, m.start, src, m.whisker_left):
+    if not _block_same(m.lin, m.start, src, m.whisker_left):
         return False
-    w = _word_at(m.lin, m.start)
-    if len(w) != m.whisker_left + len(src.input) + m.whisker_right:
+    try:
+        w = intermediate_words(m.lin)[m.start]
+    except TypingError:
+        return False
+    k = m.whisker_left
+    if w[k : k + len(src.input)] != src.input or len(w) != k + len(src.input) + m.whisker_right:
         return False
     return interchange_equal(d, m.lin)
 

@@ -3,6 +3,7 @@ from pathlib import Path
 import pytest
 
 from commuter.core import Signature
+from commuter.duality import THEOREMS
 from commuter.matrix import ModelAssignment, random_matrix
 from commuter.rng import Lcg
 

@@ -11,7 +11,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from conftest import FIXTURES, soundness_model, soundness_signature
+from conftest import FIXTURES, THEOREMS, soundness_model, soundness_signature
 
 from commuter.cli import main
 from commuter.core import (
@@ -366,7 +366,8 @@ def test_engine_soundness_suite():
 CLI_MATRIX = [
     (("theorem1",), 0, "2 steps", None),
     (("theorem3",), 0, "3 steps", None),
-    (("check", "--file", str(FIXTURES / "theorem1.cmt")), 0, "rules: 4", None),
+    (("check", "--file", str(THEOREMS / "theorem1.cmt")), 0, "rules: 4", None),
+    (("check", "--file", str(FIXTURES / "missing.cmt")), 3, None, "cannot read"),
     (("check", "--file", str(FIXTURES / "bad_syntax.cmt")), 3, None, "5:1: expected ')'"),
     (("check", "--file", str(FIXTURES / "bad_typing.cmt")), 3, None, "line 5, col 9"),
     (("prove", "--file", str(FIXTURES / "monoid.cmt"), "--lhs", "padded", "--rhs", "id U"), 0, "2 steps", None),
@@ -376,11 +377,23 @@ CLI_MATRIX = [
         2, "budget exhausted", None,
     ),
     (
-        ("normalize", "--file", str(FIXTURES / "theorem1.cmt"), "--lhs", "gamma", "--rhs", "id A X"),
+        ("prove", "--file", str(FIXTURES / "monoid.cmt"), "--lhs", "padded", "--rhs", "id U",
+         "--max-depth", "0"),
+        3, None, "invalid positive int value: '0'",
+    ),
+    (
+        ("prove", "--file", str(FIXTURES / "monoid.cmt"), "--lhs", "padded", "--rhs", "id U",
+         "--max-nodes", "0"),
+        3, None, "invalid positive int value: '0'",
+    ),
+    (("prove", "--file", str(FIXTURES / "missing.cmt"), "--lhs", "a", "--rhs", "a"), 3, None, "cannot read"),
+    (("normalize", "--file", str(FIXTURES / "missing.cmt"), "--lhs", "a"), 3, None, "cannot read"),
+    (
+        ("normalize", "--file", str(THEOREMS / "theorem1.cmt"), "--lhs", "gamma", "--rhs", "id A X"),
         1, "not equal", None,
     ),
     (
-        ("normalize", "--file", str(FIXTURES / "theorem1.cmt"), "--lhs", "(alpha ; gamma)",
+        ("normalize", "--file", str(THEOREMS / "theorem1.cmt"), "--lhs", "(alpha ; gamma)",
          "--rhs", "(alpha ; gamma)"),
         0, "comparison: equal", None,
     ),

@@ -8,11 +8,11 @@ import json
 
 import pytest
 
-from conftest import FIXTURES
+from conftest import FIXTURES, THEOREMS
 
 from commuter.cli import EXIT_BUDGET, EXIT_FAILED, EXIT_OK, EXIT_USAGE, Output, main
 
-THEOREM1 = str(FIXTURES / "theorem1.cmt")
+THEOREM1 = str(THEOREMS / "theorem1.cmt")
 MONOID = str(FIXTURES / "monoid.cmt")
 
 
@@ -67,6 +67,15 @@ def test_prove_golden(capsys):
         "  1. unit_right forward @ slices[2..4] whisker 0\n"
         "  2. unit_left forward @ slices[0..2] whisker 0\n"
     )
+
+
+def test_prove_reproduces_theorem1_goal(capsys):
+    _, theorem_out, _ = run(capsys, "theorem1")
+    code, out, err = run(
+        capsys, "prove", "--file", THEOREM1, "--lhs", "alpha_after_gamma", "--rhs", "id A X"
+    )
+    assert code == EXIT_OK
+    assert out.splitlines()[1:] == theorem_out.splitlines()[1:3]  # the first goal's two steps
 
 
 def test_prove_budget_exhaustion(capsys):

@@ -1,201 +1,113 @@
+"""The shipped theorem documents: the shapes they state and the traces they prove."""
+
 import pytest
 
-from commuter.core import (
-    Signature,
-    boundaries,
-    codomain,
-    compose,
-    gen_diagram,
-    identity,
-    tensor,
-)
+from commuter.core import boundaries, codomain, identity
 from commuter.duality import (
-    CoCommutationStructure,
-    CommutationStructure,
-    DualityData,
-    cocommutation_square,
-    cocommutation_tensor,
-    commutation_square,
-    declare_duality,
-    tensor_commutation,
-    tensor_structure,
-    theorem1_delta,
+    load_theorem,
     theorem1_dual_inverse,
     theorem1_dual_signature,
-    theorem1_gamma,
     theorem1_signature,
-    theorem3_expression,
     theorem3_signature,
     verify_theorem1,
     verify_theorem3,
 )
-from commuter.errors import TypingError
 from commuter.prover import replay, rules_from_signature
+
+THEOREMS = ("theorem1", "theorem3", "theorem1_dual")
 
 
 @pytest.fixture(scope="module")
-def th1():
-    sig, gens = theorem1_signature()
-    return sig, gens
+def docs():
+    return {name: load_theorem(name) for name in THEOREMS}
 
 
-def base_sig():
-    sig = Signature()
-    for o in ("X", "A", "B"):
-        sig.add_object(o)
-    return sig
+def rule(doc, name):
+    return {n: (lhs, rhs) for n, lhs, rhs in doc.signature.equations}[name]
+
+
+def placed(d):
+    return [(sl.gen.name, sl.offset) for sl in d.slices]
 
 
 # ---------------------------------------------------------------- dual pairs
 
-def test_duality_data_validates_unit_shape(th1):
-    _, gens = th1
-    with pytest.raises(TypingError):
-        DualityData(("B",), ("A",), gens["eta"], gens["eps"])  # eta is 1 -> B A
-    with pytest.raises(TypingError):
-        DualityData(("A",), ("B",), gens["eps"], gens["eta"])  # swapped roles
+def test_triangle_rules_shapes(docs):
+    for doc in docs.values():
+        zig_a, id_a = rule(doc, "triangle_A")
+        assert boundaries(zig_a) == (("A",), ("A",))
+        assert placed(zig_a) == [("eta", 1), ("eps", 0)]
+        assert id_a == identity(("A",))
+        zig_b, id_b = rule(doc, "triangle_B")
+        assert boundaries(zig_b) == (("B",), ("B",))
+        assert placed(zig_b) == [("eta", 0), ("eps", 1)]
+        assert id_b == identity(("B",))
 
 
-def test_triangle_rules_shapes(th1):
-    _, gens = th1
-    dual = DualityData(("A",), ("B",), gens["eta"], gens["eps"])
-    tri_a, tri_b = dual.triangle_rules()
-    assert tri_a.name == "triangle_A"
-    assert boundaries(tri_a.lhs) == (("A",), ("A",))
-    assert [(s.gen.name, s.offset) for s in tri_a.lhs.slices] == [("eta", 1), ("eps", 0)]
-    assert tri_a.rhs == identity(("A",))
-    assert tri_b.name == "triangle_B"
-    assert boundaries(tri_b.lhs) == (("B",), ("B",))
-    assert [(s.gen.name, s.offset) for s in tri_b.lhs.slices] == [("eta", 0), ("eps", 1)]
-    assert tri_b.rhs == identity(("B",))
-
-
-def test_declare_duality_registers_rules():
-    sig = base_sig()
-    dual = declare_duality(sig, ("A",), ("B",))
-    assert dual.eta.cod == ("B", "A")
-    assert dual.eps.dom == ("A", "B")
-    assert [name for name, _, _ in sig.equations] == ["triangle_A", "triangle_B"]
+def test_declare_duality_registers_rules(docs):
+    for doc in docs.values():
+        sig = doc.signature
+        assert (sig.morphisms["eta"].dom, sig.morphisms["eta"].cod) == ((), ("B", "A"))
+        assert (sig.morphisms["eps"].dom, sig.morphisms["eps"].cod) == (("A", "B"), ())
+        assert [name for name, _, _ in sig.equations[:2]] == ["triangle_A", "triangle_B"]
 
 
 # ---------------------------------------------------------------- structures
 
-def test_commutation_structure_from_gen(th1):
-    _, gens = th1
-    s = CommutationStructure.from_gen(("X",), gens["alpha"])
-    assert s.carrier == ("A",)
-    assert boundaries(s.action) == (("X", "A"), ("A", "X"))
-    trivial = CommutationStructure.trivial(("X",))
-    assert trivial.carrier == ()
-    assert trivial.action == identity(("X",))
+def test_commutation_structure_from_gen(docs):
+    gens = docs["theorem1"].signature.morphisms
+    assert (gens["alpha"].dom, gens["alpha"].cod) == (("X", "A"), ("A", "X"))
+    assert (gens["beta"].dom, gens["beta"].cod) == (("X", "B"), ("B", "X"))
 
 
-def test_commutation_structure_rejects_wrong_action(th1):
-    _, gens = th1
-    with pytest.raises(TypingError):
-        CommutationStructure(("X",), ("B",), gen_diagram(gens["alpha"]))
+def test_cocommutation_structure_from_gen(docs):
+    for name in ("theorem3", "theorem1_dual"):
+        gens = docs[name].signature.morphisms
+        assert (gens["a"].dom, gens["a"].cod) == (("A", "X"), ("X", "A"))
+        assert (gens["b"].dom, gens["b"].cod) == (("B", "X"), ("X", "B"))
 
 
-def test_cocommutation_structure_from_gen():
-    sig, gens = theorem3_signature()
-    sb = CoCommutationStructure.from_gen(("X",), gens["b"])
-    assert sb.carrier == ("B",)
-    assert boundaries(sb.action) == (("B", "X"), ("X", "B"))
-    with pytest.raises(TypingError):
-        CoCommutationStructure(("X",), ("A",), gen_diagram(gens["b"]))
+def test_tensor_commutation_slices(docs):
+    # the structure on A B opens the counit square: act on A, then on B
+    lhs, _ = rule(docs["theorem1"], "eps_square")
+    assert boundaries(lhs) == (("X", "A", "B"), ("X",))
+    assert placed(lhs)[:2] == [("alpha", 0), ("beta", 1)]
 
 
-def test_tensor_commutation_slices(th1):
-    _, gens = th1
-    s = CommutationStructure.from_gen(("X",), gens["alpha"])
-    t = CommutationStructure.from_gen(("X",), gens["beta"])
-    d = tensor_commutation(s, t)
-    assert boundaries(d) == (("X", "A", "B"), ("A", "B", "X"))
-    assert [(sl.gen.name, sl.offset) for sl in d.slices] == [("alpha", 0), ("beta", 1)]
-    st = tensor_structure(s, t)
-    assert st.carrier == ("A", "B")
-
-
-def test_tensor_commutation_rejects_mixed_x(th1):
-    _, gens = th1
-    s = CommutationStructure.from_gen(("X",), gens["alpha"])
-    other = CommutationStructure.trivial(("A",))
-    with pytest.raises(TypingError):
-        tensor_commutation(s, other)
-
-
-def test_cocommutation_tensor_slices():
-    sig, gens = theorem3_signature()
-    sa = CoCommutationStructure.from_gen(("X",), gens["a"])
-    sb = CoCommutationStructure.from_gen(("X",), gens["b"])
-    d = cocommutation_tensor(sa, sb)
-    assert boundaries(d) == (("B", "A", "X"), ("X", "B", "A"))
-    assert [(sl.gen.name, sl.offset) for sl in d.slices] == [("a", 1), ("b", 0)]
+def test_cocommutation_tensor_slices(docs):
+    # the co-structure on B A closes the unit co-square: act on A, then on B
+    lhs, _ = rule(docs["theorem3"], "eta_cosquare")
+    assert boundaries(lhs) == (("X",), ("X", "B", "A"))
+    assert placed(lhs)[1:] == [("a", 1), ("b", 0)]
 
 
 # ---------------------------------------------------------------- squares
 
-def test_commutation_square_eta_shape(th1):
-    _, gens = th1
-    s = CommutationStructure.from_gen(("X",), gens["alpha"])
-    t = CommutationStructure.from_gen(("X",), gens["beta"])
-    ba = tensor_structure(t, s)
-    rule = commutation_square(gens["eta"], CommutationStructure.trivial(("X",)), ba)
-    assert rule.name == "eta_square"
-    assert boundaries(rule.lhs) == (("X",), ("B", "A", "X"))
-    assert [(sl.gen.name, sl.offset) for sl in rule.lhs.slices] == [("eta", 0)]
-    assert [(sl.gen.name, sl.offset) for sl in rule.rhs.slices] == [
-        ("eta", 1), ("beta", 0), ("alpha", 1),
-    ]
+def test_commutation_square_eta_shape(docs):
+    lhs, rhs = rule(docs["theorem1"], "eta_square")
+    assert boundaries(lhs) == (("X",), ("B", "A", "X"))
+    assert placed(lhs) == [("eta", 0)]
+    assert placed(rhs) == [("eta", 1), ("beta", 0), ("alpha", 1)]
 
 
-def test_commutation_square_rejects_disconnected_carrier(th1):
-    _, gens = th1
-    s = CommutationStructure.from_gen(("X",), gens["alpha"])
-    with pytest.raises(TypingError):
-        commutation_square(gens["eta"], s, s)
-
-
-def test_cocommutation_square_eps_shape():
-    sig, gens = theorem3_signature()
-    sa = CoCommutationStructure.from_gen(("X",), gens["a"])
-    sb = CoCommutationStructure.from_gen(("X",), gens["b"])
-    from commuter.duality import cocommutation_tensor_structure
-
-    ab = cocommutation_tensor_structure(sb, sa)
-    rule = cocommutation_square(gens["eps"], ab, CoCommutationStructure.trivial(("X",)))
-    assert rule.name == "eps_cosquare"
-    assert boundaries(rule.lhs) == (("A", "B", "X"), ("X",))
-    assert [(sl.gen.name, sl.offset) for sl in rule.lhs.slices] == [("eps", 0)]
-    assert [(sl.gen.name, sl.offset) for sl in rule.rhs.slices] == [
-        ("b", 1), ("a", 0), ("eps", 1),
-    ]
+def test_cocommutation_square_eps_shape(docs):
+    for name in ("theorem3", "theorem1_dual"):
+        lhs, rhs = rule(docs[name], "eps_cosquare")
+        assert boundaries(lhs) == (("A", "B", "X"), ("X",))
+        assert placed(lhs) == [("eps", 0)]
+        assert placed(rhs) == [("b", 1), ("a", 0), ("eps", 1)]
 
 
 # ---------------------------------------------------------------- theorem1
 
-def test_theorem1_gamma_shape(th1):
-    _, gens = th1
-    dual = DualityData(("A",), ("B",), gens["eta"], gens["eps"])
-    s = CommutationStructure.from_gen(("X",), gens["alpha"])
-    t = CommutationStructure.from_gen(("X",), gens["beta"])
-    gamma = theorem1_gamma(s, dual, t)
+def test_theorem1_gamma_shape(docs):
+    gamma = docs["theorem1"].diagrams["gamma"]
     assert boundaries(gamma) == (("A", "X"), ("X", "A"))
-    assert [(sl.gen.name, sl.offset) for sl in gamma.slices] == [
-        ("eta", 2), ("beta", 1), ("eps", 0),
-    ]
+    assert placed(gamma) == [("eta", 2), ("beta", 1), ("eps", 0)]
 
 
-def test_theorem1_gamma_rejects_mismatched_carriers(th1):
-    _, gens = th1
-    dual = DualityData(("A",), ("B",), gens["eta"], gens["eps"])
-    t = CommutationStructure.from_gen(("X",), gens["beta"])
-    with pytest.raises(TypingError):
-        theorem1_gamma(t, dual, t)  # first structure lives on B, wants A
-
-
-def test_verify_theorem1_traces(th1):
-    sig, _ = th1
+def test_verify_theorem1_traces():
+    sig, _ = theorem1_signature()
     rules = rules_from_signature(sig)
     trace_right, trace_left = verify_theorem1()
     hypothesis_rules = {"triangle_A", "triangle_B", "eta_square", "eps_square"}
@@ -209,16 +121,10 @@ def test_verify_theorem1_traces(th1):
 
 # ---------------------------------------------------------------- theorem3
 
-def test_theorem3_expression_shape():
-    sig, gens = theorem3_signature()
-    dual = DualityData(("A",), ("B",), gens["eta"], gens["eps"])
-    expr = theorem3_expression(dual, gens["binv"], ("X",))
+def test_theorem3_expression_shape(docs):
+    expr = docs["theorem3"].diagrams["expr"]
     assert boundaries(expr) == (("A", "X"), ("X", "A"))
-    assert [(sl.gen.name, sl.offset) for sl in expr.slices] == [
-        ("eta", 2), ("binv", 1), ("eps", 0),
-    ]
-    with pytest.raises(TypingError):
-        theorem3_expression(dual, gens["b"], ("X",))
+    assert placed(expr) == [("eta", 2), ("binv", 1), ("eps", 0)]
 
 
 def test_theorem3_signature_rule_names():
@@ -240,26 +146,19 @@ def test_verify_theorem3_trace():
 
 # ------------------------------------------------------ dualized theorem1
 
-def test_theorem1_delta_shape():
-    sig, gens = theorem1_dual_signature()
-    dual = DualityData(("A",), ("B",), gens["eta"], gens["eps"])
-    sa = CoCommutationStructure.from_gen(("X",), gens["a"])
-    delta = theorem1_delta(dual, sa, ("X",))
+def test_theorem1_delta_shape(docs):
+    delta = docs["theorem1_dual"].diagrams["delta"]
     assert boundaries(delta) == (("X", "B"), ("B", "X"))
-    assert [(sl.gen.name, sl.offset) for sl in delta.slices] == [
-        ("eta", 0), ("a", 1), ("eps", 2),
-    ]
-    with pytest.raises(TypingError):
-        sb = CoCommutationStructure.from_gen(("X",), gens["b"])
-        theorem1_delta(dual, sb, ("X",))
+    assert placed(delta) == [("eta", 0), ("a", 1), ("eps", 2)]
 
 
 def test_theorem1_dual_inverse_traces():
-    sig, _ = theorem1_dual_signature()
+    sig, gens = theorem1_dual_signature()
     rules = rules_from_signature(sig)
     trace_right, trace_left = theorem1_dual_inverse()
     allowed = {name for name, _, _ in sig.equations}
-    assert "binv" not in {g for g, _, _ in sig.equations}
+    assert "binv" not in gens
+    assert allowed == {"triangle_A", "triangle_B", "eta_cosquare", "eps_cosquare"}
     for trace in (trace_right, trace_left):
         assert 0 < len(trace.steps) <= 4
         assert {s.rule for s in trace.steps} <= allowed

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from commuter.core import Diagram, Slice, compose, gen_diagram, identity, tensor
-from commuter.duality import theorem1_gamma, theorem1_signature
-from commuter.duality import CommutationStructure, DualityData
+from commuter.duality import load_theorem
 from commuter.errors import NumericError, SizeError, TypingError
 from commuter.exchange import adjacent_swap, canonicalize, linearizations, swappable
 from commuter.matrix import (
@@ -195,11 +194,7 @@ def test_companion_gamma_inverts_alpha():
 
 
 def test_symbolic_gamma_matches_companion_route():
-    sig, gens = theorem1_signature()
-    dual = DualityData(("A",), ("B",), gens["eta"], gens["eps"])
-    s = CommutationStructure.from_gen(("X",), gens["alpha"])
-    t = CommutationStructure.from_gen(("X",), gens["beta"])
-    gamma_diagram = theorem1_gamma(s, dual, t)
+    gamma_diagram = load_theorem("theorem1").diagrams["gamma"]
     for n, x in ((2, 3), (3, 2)):
         rng = Lcg(7)
         alpha = random_alpha(n * x, n * x, rng)

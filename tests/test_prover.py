@@ -191,6 +191,28 @@ def test_replay_rejects_corrupted_offsets(monoid):
     assert not replay(forged, rules)
 
 
+def test_replay_rejects_ill_typed_linearization(monoid):
+    _, gens, rules = monoid
+    padded = compose(
+        compose(tensor(gen_diagram(gens["u"]), identity(("U",))), gen_diagram(gens["m"])),
+        compose(tensor(identity(("U",)), gen_diagram(gens["u"])), gen_diagram(gens["m"])),
+    )
+    trace = prove_equal(padded, identity(("U",)), rules)
+    step = trace.steps[-1]
+    lin = step.match.lin
+    bent = Match(
+        lin=Diagram(lin.input, (Slice(5, gens["m"]),) + lin.slices),
+        start=step.match.start + 1,
+        end=step.match.end + 1,
+        whisker_left=step.match.whisker_left,
+        whisker_right=step.match.whisker_right,
+    )
+    forged = ProofTrace(
+        trace.start, trace.steps[:-1] + (ProofStep(step.rule, step.direction, bent),), trace.end
+    )
+    assert replay(forged, rules) is False
+
+
 def test_replay_rejects_wrong_endpoint(monoid):
     _, gens, rules = monoid
     padded = compose(tensor(gen_diagram(gens["u"]), identity(("U",))), gen_diagram(gens["m"]))
