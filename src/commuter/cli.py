@@ -289,14 +289,22 @@ def cmd_finset_copower(args, out: Output) -> int:
     return out.status("ok" if ok else "failed", EXIT_OK if ok else EXIT_FAILED)
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise ValueError
-    return value
+def _int_at_least(low: int, name: str):
+    """An argparse type for integers >= low, reported as ``name`` when invalid."""
+
+    def convert(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise ValueError
+        return value
+
+    convert.__name__ = name  # argparse embeds the converter name in errors
+    return convert
 
 
-_positive_int.__name__ = "positive int"  # argparse embeds the converter name in errors
+_positive_int = _int_at_least(1, "positive int")
+_size = _int_at_least(0, "non-negative int")
+_scan_bound = _int_at_least(2, "int >= 2")
 
 
 def _parse_dims(text: str) -> tuple[int, int]:
@@ -363,15 +371,15 @@ def build_parser() -> _Parser:
     p = sub.add_parser("finset", help="finite-set model checks")
     fs = p.add_subparsers(dest="finset_command", required=True, metavar="check")
     q = fs.add_parser("atom", help="constants-map bijectivity scan over small J")
-    q.add_argument("--d", type=int, required=True)
-    q.add_argument("--max-j", type=int, default=4)
+    q.add_argument("--d", type=_size, required=True)
+    q.add_argument("--max-j", type=_scan_bound, default=4)
     q.set_defaults(run=cmd_finset_atom)
     q = fs.add_parser("copower", help="comparison map out of a copower")
     grp = q.add_mutually_exclusive_group(required=True)
-    grp.add_argument("--s", type=int, help="use the product functor S x -")
-    grp.add_argument("--power", type=int, help="use the power functor (-)^S")
-    q.add_argument("--j", type=int, required=True)
-    q.add_argument("--c", type=int, required=True)
+    grp.add_argument("--s", type=_size, help="use the product functor S x -")
+    grp.add_argument("--power", type=_size, help="use the power functor (-)^S")
+    q.add_argument("--j", type=_size, required=True)
+    q.add_argument("--c", type=_size, required=True)
     q.set_defaults(run=cmd_finset_copower)
 
     p = sub.add_parser("matrix", help="numeric model checks")

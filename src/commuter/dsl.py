@@ -16,7 +16,8 @@ declared diagram if one exists, otherwise to a generator.
 
 Errors carry one-based line and column plus the token set that would have
 been accepted.  Typing failures inside a term are reported at the opening
-position of the offending construct.
+position of the offending construct.  Terms may nest at most
+MAX_TERM_DEPTH parentheses deep; the parser recurses once per level.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ from dataclasses import dataclass, field
 from .core import Diagram, Signature, Word, compose, fmt_word, gen_diagram, identity, intermediate_words, tensor
 from .errors import ParseError, SignatureError, TypingError
 from .prover import RewriteRule
+
+MAX_TERM_DEPTH = 200  # far below the interpreter's recursion limit
 
 _KEYWORDS = {"obj", "gen", "dia", "rule", "id"}
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -98,6 +101,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.doc = doc
+        self.depth = 0  # parentheses open around the current term
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -215,7 +219,12 @@ class _Parser:
                 raise ParseError(f"unknown generator or diagram {tok.text!r}", tok.line, tok.col)
             return gen_diagram(gen)
         if tok.kind == "LPAREN":
+            if self.depth >= MAX_TERM_DEPTH:
+                raise ParseError(
+                    f"term nests more than {MAX_TERM_DEPTH} parentheses deep", tok.line, tok.col
+                )
             opener = self.advance()
+            self.depth += 1
             left = self.term()
             op = self.peek()
             if op.kind not in ("SEMI", "STAR"):
@@ -223,6 +232,7 @@ class _Parser:
             self.advance()
             right = self.term()
             self.expect("RPAREN", "')'")
+            self.depth -= 1
             try:
                 if op.kind == "SEMI":
                     return compose(left, right)

@@ -15,7 +15,8 @@ with two different offsets in different members of the class, so "which
 slices can move to the front" depends on the representative, and the greedy
 Foata-style extraction misses members.  Exhaustion is exact and cheap at the
 diagram sizes this package manipulates (rule and theorem diagrams stay under
-eight slices).
+eight slices); every enumeration stops with BudgetError once a class passes
+LINEARIZATION_CAP members, so no input gets unbounded time or memory.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .core import Diagram, Slice, Word
+from .core import Diagram, Slice
 from .errors import BudgetError, NotSwappableError
 
 LINEARIZATION_CAP = 10_000
@@ -95,15 +96,13 @@ def _seq_key(slices: tuple[Slice, ...]) -> tuple:
     return tuple(_slice_key(s) for s in slices)
 
 
-def _swap_class(
-    d: Diagram, cap: int | None = None
-) -> dict[tuple[Slice, ...], tuple[int, ...]]:
+def _swap_class(d: Diagram) -> dict[tuple[Slice, ...], tuple[int, ...]]:
     """Every slice sequence reachable from d by swaps, in discovery order.
 
     Each sequence maps to the permutation recording where its slices sat in
     d (first path found wins; the search order is fixed, so the permutation
-    is deterministic).  With a cap, stops with BudgetError once more than
-    cap sequences exist.
+    is deterministic).  Stops with BudgetError once more than
+    LINEARIZATION_CAP sequences exist.
     """
     start = tuple(range(len(d.slices)))
     seen: dict[tuple[Slice, ...], tuple[int, ...]] = {d.slices: start}
@@ -117,9 +116,9 @@ def _swap_class(
                     continue
                 moved = perm[:i] + (perm[i + 1], perm[i]) + perm[i + 2 :]
                 seen[swapped] = moved
-                if cap is not None and len(seen) > cap:
+                if len(seen) > LINEARIZATION_CAP:
                     raise BudgetError(
-                        f"more than {cap} linearizations", count_at_least=len(seen)
+                        f"more than {LINEARIZATION_CAP} linearizations", count_at_least=len(seen)
                     )
                 queue.append((swapped, moved))
     return seen
@@ -138,7 +137,10 @@ class CanonicalForm:
 
 
 def canonicalize(d: Diagram) -> CanonicalForm:
-    """The least member of d's interchange class; deterministic."""
+    """The least member of d's interchange class; deterministic.
+
+    Raises BudgetError when the class has more than LINEARIZATION_CAP members.
+    """
     members = _swap_class(d)
     best = min(members, key=_seq_key)
     return CanonicalForm(Diagram(d.input, best), members[best])
@@ -153,84 +155,10 @@ def interchange_equal(d1: Diagram, d2: Diagram) -> bool:
     return canonicalize(d1).diagram == canonicalize(d2).diagram
 
 
-def linearizations(d: Diagram, cap: int = LINEARIZATION_CAP) -> list[Diagram]:
+def linearizations(d: Diagram) -> list[Diagram]:
     """Every distinct member of d's interchange class, in discovery order.
 
-    Raises BudgetError once more than ``cap`` distinct members have been
-    found; the error carries the count seen so far as a lower bound.
+    Raises BudgetError once more than LINEARIZATION_CAP distinct members have
+    been found; the error carries the count seen so far as a lower bound.
     """
-    return [Diagram(d.input, slices) for slices in _swap_class(d, cap=cap)]
-
-
-@dataclass(frozen=True, slots=True)
-class DependencyGraph:
-    """Which slices must stay before which.
-
-    ``cover`` holds the covering pairs (i, j) with i < j: slice j cannot be
-    moved before slice i, and no third slice sits between them in the order.
-    Every member of the interchange class orders its slices consistently with
-    the transitive closure; the converse can fail, because a wire deletion
-    lets some insertion offsets vary between members, so not every linear
-    extension is realized.
-    """
-
-    n: int
-    cover: tuple[tuple[int, int], ...]
-
-    def closure(self) -> set[tuple[int, int]]:
-        reach: set[tuple[int, int]] = set(self.cover)
-        changed = True
-        while changed:
-            changed = False
-            for a, b in list(reach):
-                for c, d in list(reach):
-                    if b == c and (a, d) not in reach:
-                        reach.add((a, d))
-                        changed = True
-        return reach
-
-
-def dependency_graph(d: Diagram) -> DependencyGraph:
-    """Trace each slice's input block backwards to find what it waits on.
-
-    Walking from slice j toward the input, the traced interval grows into the
-    "past cone" of j: whenever an earlier slice's output block touches the
-    cone, that slice must precede j and its own input block joins the cone;
-    otherwise the cone just shifts past the slice's length change.
-    """
-    n = len(d.slices)
-    edges: set[tuple[int, int]] = set()
-    for j in range(n):
-        sj = d.slices[j]
-        lo, hi = sj.offset, sj.offset + len(sj.gen.dom)
-        for m in range(j - 1, -1, -1):
-            sm = d.slices[m]
-            m_lo, m_hi = sm.offset, sm.offset + len(sm.gen.cod)
-            if _blocks_touch(lo, hi, m_lo, m_hi):
-                edges.add((m, j))
-                d_lo, d_hi = sm.offset, sm.offset + len(sm.gen.dom)
-                delta = len(sm.gen.dom) - len(sm.gen.cod)
-                lo2 = lo if lo <= m_lo else (lo + delta if lo >= m_hi else d_lo)
-                hi2 = hi if hi <= m_lo else (hi + delta if hi >= m_hi else d_hi)
-                lo, hi = min(lo2, d_lo), max(hi2, d_hi)
-            elif hi <= m_lo:
-                pass  # cone entirely left: untouched
-            else:
-                lo += len(sm.gen.dom) - len(sm.gen.cod)
-                hi += len(sm.gen.dom) - len(sm.gen.cod)
-    closure = DependencyGraph(n, tuple(sorted(edges))).closure()
-    cover = tuple(
-        (a, b)
-        for a, b in sorted(edges)
-        if not any((a, c) in closure and (c, b) in closure for c in range(n))
-    )
-    return DependencyGraph(n, cover)
-
-
-def _blocks_touch(lo: int, hi: int, other_lo: int, other_hi: int) -> bool:
-    """Interval interference, counting an empty block strictly inside."""
-    if lo == hi:
-        return other_lo < lo < other_hi
-    if other_lo == other_hi:
-        return lo < other_lo < hi
-    return lo < other_hi and other_lo < hi
+    return [Diagram(d.input, slices) for slices in _swap_class(d)]

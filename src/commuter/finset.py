@@ -11,7 +11,7 @@ results are reproducible integers:
 The functor algebra is deliberately small: identity, product with a fixed
 set, power by a fixed set, coproduct of j copies, and composition.  Every
 operation that would build a set larger than ``SIZE_LIMIT`` raises SizeError
-instead.
+instead; powers are refused before they are computed.
 """
 
 from __future__ import annotations
@@ -32,7 +32,9 @@ class FinSetObj:
         if self.size < 0:
             raise ValueError("negative size")
         if self.size > SIZE_LIMIT:
-            raise SizeError(f"set of size {self.size} exceeds limit {SIZE_LIMIT}")
+            # str() refuses ints past 4300 digits, and sizes are products of inputs
+            shown = self.size if self.size < 10**18 else "over 10^18"
+            raise SizeError(f"set of size {shown} exceeds limit {SIZE_LIMIT}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -116,10 +118,19 @@ class Compose:
 FunctorExpr = Id | TimesS | PowerS | CoprodJ | Compose
 
 
-def _checked_size(n: int) -> int:
-    if n > SIZE_LIMIT:
-        raise SizeError(f"set of size {n} exceeds limit {SIZE_LIMIT}")
-    return n
+def _power_size(base: int, exponent: int) -> int:
+    """base ** exponent, refused with SizeError as soon as a partial product
+    passes SIZE_LIMIT, so a huge power is never computed or printed."""
+    if exponent < 0:
+        raise ValueError("negative exponent")
+    if base <= 1:
+        return base**exponent
+    value = 1
+    for _ in range(exponent):  # at most SIZE_LIMIT.bit_length() rounds
+        value *= base
+        if value > SIZE_LIMIT:
+            raise SizeError(f"set of size {base}^{exponent} exceeds limit {SIZE_LIMIT}")
+    return value
 
 
 def eval_obj(expr: FunctorExpr, c: FinSetObj) -> FinSetObj:
@@ -127,11 +138,11 @@ def eval_obj(expr: FunctorExpr, c: FinSetObj) -> FinSetObj:
         case Id():
             return c
         case TimesS(s):
-            return FinSetObj(_checked_size(s * c.size))
+            return FinSetObj(s * c.size)
         case PowerS(s):
-            return FinSetObj(_checked_size(c.size**s))
+            return FinSetObj(_power_size(c.size, s))
         case CoprodJ(j):
-            return FinSetObj(_checked_size(j * c.size))
+            return FinSetObj(j * c.size)
         case Compose(outer, inner):
             return eval_obj(outer, eval_obj(inner, c))
     raise TypeError(f"not a functor expression: {expr!r}")
@@ -191,7 +202,7 @@ def inclusion(j0: int, j: int, c: FinSetObj) -> FinSetMap:
     """The j0-th coprojection C -> (j copies of C)."""
     if not 0 <= j0 < j:
         raise ValueError(f"copy index {j0} outside range({j})")
-    cop = FinSetObj(_checked_size(j * c.size))
+    cop = FinSetObj(j * c.size)
     return FinSetMap(c, cop, tuple(j0 * c.size + c0 for c0 in range(c.size)))
 
 
@@ -203,8 +214,8 @@ def canonical_alpha(expr: FunctorExpr, j: int, c: FinSetObj) -> FinSetMap:
     functors fail this in general.
     """
     fc = eval_obj(expr, c)
-    cod = eval_obj(expr, FinSetObj(_checked_size(j * c.size)))
-    dom = FinSetObj(_checked_size(j * fc.size))
+    cod = eval_obj(expr, FinSetObj(j * c.size))
+    dom = FinSetObj(j * fc.size)
     table: list[int] = []
     for j0 in range(j):
         leg = eval_map(expr, inclusion(j0, j, c))
@@ -215,9 +226,9 @@ def canonical_alpha(expr: FunctorExpr, j: int, c: FinSetObj) -> FinSetMap:
 def strength_map(j: FinSetObj, y: FinSetObj, d: FinSetObj) -> FinSetMap:
     """J x (Y^D) -> (J x Y)^D, sending (j0, f) to d0 |-> (j0, f(d0))."""
     jn, yn, dn = j.size, y.size, d.size
-    yd = FinSetObj(_checked_size(yn**dn))
-    dom = FinSetObj(_checked_size(jn * yd.size))
-    cod = FinSetObj(_checked_size((jn * yn) ** dn))
+    yd = FinSetObj(_power_size(yn, dn))
+    dom = FinSetObj(jn * yd.size)
+    cod = FinSetObj(_power_size(jn * yn, dn))
     table = []
     for j0 in range(jn):
         for code in range(yd.size):
@@ -230,7 +241,7 @@ def strength_map(j: FinSetObj, y: FinSetObj, d: FinSetObj) -> FinSetMap:
 def natural_map_J_to_JD(j: FinSetObj, d: FinSetObj) -> FinSetMap:
     """J -> J^D, sending each element to the constant function at it."""
     jn, dn = j.size, d.size
-    cod = FinSetObj(_checked_size(jn**dn))
+    cod = FinSetObj(_power_size(jn, dn))
     table = tuple(encode_power((j0,) * dn, max(jn, 1)) for j0 in range(jn))
     return FinSetMap(j, cod, table)
 
@@ -290,7 +301,7 @@ def atom_strong_check(d: FinSetObj, max_j: int = 4) -> AtomReport:
 
 def projection(x: int, d: int) -> FinSetMap:
     """X x D -> X, pairs encoded x0 * d + d0."""
-    dom = FinSetObj(_checked_size(x * d))
+    dom = FinSetObj(x * d)
     return FinSetMap(dom, FinSetObj(x), tuple(x0 for x0 in range(x) for _ in range(d)))
 
 
@@ -299,11 +310,15 @@ def hom_transpose_bijection(x: int, d: int, j: int) -> bool:
     hom(X, J) -> hom(X x D, J)?  Decided by listing both hom sets."""
     proj = projection(x, d)
     jj = FinSetObj(j)
+    _power_size(j, x)  # refuse before listing hom(X, J)
+    try:
+        total = _power_size(j, x * d)
+    except SizeError:
+        return False  # hom(X x D, J) outnumbers hom(X, J), which fits the limit
     images = set()
     count = 0
     for table in iproduct(range(j), repeat=x):
         f = FinSetMap(FinSetObj(x), jj, table)
         images.add(compose_maps(proj, f).table)
         count += 1
-    total = j ** (x * d)
     return len(images) == count and count == total

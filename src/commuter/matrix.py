@@ -26,15 +26,21 @@ TOL_CHAIN = 1e-9
 COND_LIMIT = 1e8
 
 
-def kron(*mats: np.ndarray) -> np.ndarray:
-    """Kronecker product of one or more matrices, guarded by DIM_LIMIT."""
+def _check_kron(shapes) -> None:
+    """Refuse a Kronecker product of these shapes if any partial product
+    passes DIM_LIMIT on either side."""
     rows = 1
     cols = 1
-    for m in mats:
-        rows *= m.shape[0]
-        cols *= m.shape[1]
+    for r, c in shapes:
+        rows *= r
+        cols *= c
         if rows > DIM_LIMIT or cols > DIM_LIMIT:
             raise SizeError(f"kron result {rows}x{cols} exceeds limit {DIM_LIMIT}")
+
+
+def kron(*mats: np.ndarray) -> np.ndarray:
+    """Kronecker product of one or more matrices, guarded by DIM_LIMIT."""
+    _check_kron(m.shape for m in mats)
     return reduce(np.kron, mats)
 
 
@@ -97,9 +103,14 @@ class ModelAssignment:
 
 
 def eval_diagram(d: Diagram, model: ModelAssignment) -> np.ndarray:
-    """Fold the slices bottom-up; returns the matrix of the composite."""
+    """Fold the slices bottom-up; returns the matrix of the composite.
+
+    Every step is checked before the first one is built, so a diagram that
+    passes DIM_LIMIT anywhere is refused without allocating.
+    """
     words = intermediate_words(d)
-    total = eye(model.dim_word(d.input))
+    dim_in = model.dim_word(d.input)
+    steps: list[tuple[int, np.ndarray, int]] = []
     for k, s in enumerate(d.slices):
         before = words[k]
         g = model.matrix(s.gen.name)
@@ -112,12 +123,18 @@ def eval_diagram(d: Diagram, model: ModelAssignment) -> np.ndarray:
             )
         left = model.dim_word(before[: s.offset])
         right = model.dim_word(before[s.offset + len(s.gen.dom):])
+        _check_kron(((left, left), g.shape, (right, right)))
+        steps.append((left, g, right))
+    total = eye(dim_in)
+    for left, g, right in steps:
         total = kron(eye(left), g, eye(right)) @ total
     return total
 
 
 def random_matrix(rows: int, cols: int, rng: Lcg) -> np.ndarray:
     """Entries drawn uniformly from [-1, 1)."""
+    if rows > DIM_LIMIT or cols > DIM_LIMIT:
+        raise SizeError(f"random matrix {rows}x{cols} exceeds limit {DIM_LIMIT}")
     out = np.empty((rows, cols))
     for r in range(rows):
         for c in range(cols):
@@ -200,6 +217,12 @@ class NumericReport:
         return max(self.residuals.values(), default=0.0)
 
 
+def _check_blocks(n: int, x: int) -> None:
+    """Refuse dims whose largest block, n^3 * x on a side, passes DIM_LIMIT."""
+    if n**3 * x > DIM_LIMIT:
+        raise SizeError(f"block side {n}^3*{x} exceeds limit {DIM_LIMIT}")
+
+
 def check_theorem1_numeric(
     dim_a: int, dim_x: int, seed: int, tolerance: float = TOL_CHAIN
 ) -> NumericReport:
@@ -208,10 +231,12 @@ def check_theorem1_numeric(
     beta is the mate of alpha's inverse, gamma the eta/beta/eps composite.
     The residuals cover the theorem's hypotheses (both squares hold for
     this alpha, beta pair) and its conclusion (gamma inverts alpha on both
-    sides).
+    sides).  Dims whose blocks would pass DIM_LIMIT are refused before
+    anything is drawn.
     """
-    rng = Lcg(seed)
     n, x = dim_a, dim_x
+    _check_blocks(n, x)
+    rng = Lcg(seed)
     alpha = random_alpha(n * x, n * x, rng)
     beta = mate_beta(alpha, n, x)
     gamma = companion_gamma(beta, n, x)
@@ -252,8 +277,12 @@ def check_theorem3_numeric(
     * the eta/binv/eps expression on A (x) X reproduces a;
     * the two-step composite on (B A) (x) X equals flip(n*n, x);
     * both zigzags and both inverse laws hold.
+
+    Dims whose blocks would pass DIM_LIMIT are refused before anything is
+    built.
     """
     n, x = dim_n, dim_x
+    _check_blocks(n, x)
     a = flip(n, x)
     b = flip(n, x)
     binv = flip(x, n)

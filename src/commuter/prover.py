@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .core import Diagram, MorGen, Slice, boundaries, codomain, fmt_word, intermediate_words
 from .errors import MatchInvalidError, SearchExhausted, SignatureError, TypingError
-from .exchange import LINEARIZATION_CAP, canonicalize, interchange_equal, linearizations
+from .exchange import canonicalize, interchange_equal, linearizations
 
 FORWARD = "forward"
 BACKWARD = "backward"
@@ -63,9 +63,7 @@ class Match:
 
     ``lin`` is the concrete member of the target's interchange class holding
     the block at slice positions [start, end), shifted left-to-right by
-    ``whisker_left`` wires.  ``lin_index`` is the position of ``lin`` in the
-    deterministic enumeration when the match came from ``find_matches``, and
-    None for matches synthesized while assembling traces.
+    ``whisker_left`` wires.
     """
 
     lin: Diagram
@@ -73,7 +71,6 @@ class Match:
     end: int
     whisker_left: int
     whisker_right: int
-    lin_index: int | None = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -96,10 +93,9 @@ class ProofTrace:
 class SearchBudget:
     max_depth_per_side: int = 8
     max_nodes: int = 50_000
-    linearization_cap: int = LINEARIZATION_CAP
 
     def __post_init__(self):
-        if self.max_depth_per_side <= 0 or self.max_nodes <= 0 or self.linearization_cap <= 0:
+        if self.max_depth_per_side <= 0 or self.max_nodes <= 0:
             raise ValueError("budget values must be positive")
 
 
@@ -111,7 +107,7 @@ def _splice(lin: Diagram, start: int, end: int, k: int, replacement: Diagram) ->
 _HOLE_NAME = "\x00hole"
 
 
-def find_matches(d: Diagram, side: Diagram, cap: int = LINEARIZATION_CAP) -> list[Match]:
+def find_matches(d: Diagram, side: Diagram) -> list[Match]:
     """All matches of ``side`` in ``d``, deduplicated by resulting rewrite.
 
     Two matches are redundant when replacing their blocks (by anything with
@@ -122,11 +118,10 @@ def find_matches(d: Diagram, side: Diagram, cap: int = LINEARIZATION_CAP) -> lis
     """
     side_cod = codomain(side)
     hole = MorGen(_HOLE_NAME, side.input, side_cod, index=-1)
-    lins = linearizations(d, cap)
     out: list[Match] = []
     seen: set[Diagram] = set()
     nslices = len(side.slices)
-    for li, lin in enumerate(lins):
+    for lin in linearizations(d):
         words = intermediate_words(lin)
         if nslices > 0:
             for start in range(len(lin.slices) - nslices + 1):
@@ -136,7 +131,7 @@ def find_matches(d: Diagram, side: Diagram, cap: int = LINEARIZATION_CAP) -> lis
                 w = words[start]
                 if w[k : k + len(side.input)] != side.input:
                     continue
-                m = Match(lin, start, start + nslices, k, len(w) - k - len(side.input), li)
+                m = Match(lin, start, start + nslices, k, len(w) - k - len(side.input))
                 _push_dedup(out, seen, m, hole)
         else:
             for cut in range(len(lin.slices) + 1):
@@ -144,7 +139,7 @@ def find_matches(d: Diagram, side: Diagram, cap: int = LINEARIZATION_CAP) -> lis
                 for k in range(len(w) - len(side.input) + 1):
                     if w[k : k + len(side.input)] != side.input:
                         continue
-                    m = Match(lin, cut, cut, k, len(w) - k - len(side.input), li)
+                    m = Match(lin, cut, cut, k, len(w) - k - len(side.input))
                     _push_dedup(out, seen, m, hole)
     return out
 
@@ -199,24 +194,19 @@ def _match_valid(d: Diagram, src: Diagram, m: Match) -> bool:
 def replay(trace: ProofTrace, rules: list[RewriteRule] | dict[str, RewriteRule]) -> bool:
     """Re-run a trace step by step; True iff every step checks out.
 
-    Unknown rule names raise SignatureError; any invalid step (stale match,
-    corrupted offsets, wrong block) just yields False.
+    Unknown rule names raise SignatureError; any step ``apply_rule`` rejects
+    (bad direction, stale match, corrupted offsets, wrong block) just yields
+    False.
     """
     by_name = rules if isinstance(rules, dict) else {r.name: r for r in rules}
     current = trace.start
     for step in trace.steps:
         if step.rule not in by_name:
             raise SignatureError(f"trace refers to unknown rule: {step.rule}")
-        rule = by_name[step.rule]
-        if step.direction not in (FORWARD, BACKWARD):
+        try:
+            current = apply_rule(current, by_name[step.rule], step.match, step.direction)
+        except (ValueError, MatchInvalidError):
             return False
-        src = rule.side(step.direction)
-        if not _match_valid(current, src, step.match):
-            return False
-        current = _splice(
-            step.match.lin, step.match.start, step.match.end,
-            step.match.whisker_left, rule.other(step.direction),
-        )
     return interchange_equal(current, trace.end)
 
 
@@ -282,7 +272,7 @@ def prove_equal(
                     for direction in (FORWARD, BACKWARD):
                         src = rule.side(direction)
                         dst = rule.other(direction)
-                        for m in find_matches(node, src, budget.linearization_cap):
+                        for m in find_matches(node, src):
                             raw = _splice(m.lin, m.start, m.end, m.whisker_left, dst)
                             child = canonicalize(raw).diagram
                             if child in visited[side] or child in new:
@@ -342,7 +332,6 @@ def _inverted(edge: _Edge) -> ProofStep:
         end=m.start + len(written.slices),
         whisker_left=m.whisker_left,
         whisker_right=m.whisker_right,
-        lin_index=None,
     )
     return ProofStep(edge.rule.name, direction, inv)
 

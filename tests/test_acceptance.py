@@ -363,6 +363,9 @@ def test_engine_soundness_suite():
     )
 
 
+EIGHT_UNITS = "(u * (u * (u * (u * (u * (u * (u * u)))))))"  # a class of 8! members
+DEEP_TERM = "(" * 3000 + "u" + " * u)" * 3000
+
 CLI_MATRIX = [
     (("theorem1",), 0, "2 steps", None),
     (("theorem3",), 0, "3 steps", None),
@@ -401,8 +404,32 @@ CLI_MATRIX = [
     (("finset", "atom", "--d", "2"), 1, "first failure at |J| = 2", None),
     (("finset", "copower", "--s", "3", "--j", "2", "--c", "4"), 0, "bijection: yes", None),
     (("finset", "copower", "--power", "2", "--j", "2", "--c", "1"), 1, "2 -> 4", None),
+    (
+        ("normalize", "--file", str(FIXTURES / "monoid.cmt"), "--lhs", EIGHT_UNITS),
+        2, None, "more than 10000 linearizations",
+    ),
+    (
+        ("prove", "--file", str(FIXTURES / "monoid.cmt"), "--lhs", DEEP_TERM, "--rhs", "u"),
+        3, None, "nests more than",
+    ),
+    (("finset", "atom", "--d", "0"), 1, "first failure at |J| = 0", None),
+    (("finset", "atom", "--d", "-1"), 3, None, "invalid non-negative int value: '-1'"),
+    (("finset", "atom", "--d", "1", "--max-j", "1"), 3, None, "invalid int >= 2 value: '1'"),
+    (("finset", "copower", "--s", "3", "--j", "0", "--c", "4"), 0, "0 -> 0", None),
+    (("finset", "copower", "--s", "0", "--j", "2", "--c", "4"), 0, "0 -> 0", None),
+    (("finset", "copower", "--s", "3", "--j", "2", "--c", "0"), 0, "0 -> 0", None),
+    (("finset", "copower", "--power", "0", "--j", "2", "--c", "1"), 1, "2 -> 1", None),
+    (("finset", "copower", "--s", "3", "--j", "-1", "--c", "4"), 3, None, "argument --j: invalid"),
+    (("finset", "copower", "--s", "-2", "--j", "2", "--c", "4"), 3, None, "argument --s: invalid"),
+    (("finset", "copower", "--s", "3", "--j", "2", "--c", "-3"), 3, None, "argument --c: invalid"),
+    (("finset", "copower", "--power", "-1", "--j", "2", "--c", "1"), 3, None, "argument --power: invalid"),
+    (("finset", "copower", "--power", "5000", "--j", "2", "--c", "10"), 3, None, "exceeds limit"),
+    (("finset", "copower", "--power", "10000000", "--j", "2", "--c", "10"), 3, None, "exceeds limit"),
     (("matrix", "theorem1", "--dims", "2,3", "--seed", "42"), 0, "  ok", None),
     (("matrix", "theorem3", "--dims", "3,3"), 0, "0.000e+00", None),
+    (("matrix", "theorem1", "--dims", "200,200"), 3, None, "exceeds limit"),
+    (("matrix", "theorem1", "--dims", "100,100"), 3, None, "exceeds limit"),
+    (("matrix", "theorem3", "--dims", "100,100"), 3, None, "exceeds limit"),
     (("nope",), 3, None, "invalid choice"),
 ]
 

@@ -5,6 +5,7 @@ without spawning an interpreter.
 """
 
 import json
+import time
 
 import pytest
 
@@ -323,6 +324,29 @@ def test_structured_budget_status(capsys):
 
 
 # ----------------------------------------------------------- usage and color
+
+
+EIGHT_UNITS = "(u * (u * (u * (u * (u * (u * (u * u)))))))"  # a class of 8! members
+
+
+@pytest.mark.parametrize(
+    "argv, want_code, want_err",
+    [
+        (("normalize", "--file", MONOID, "--lhs", EIGHT_UNITS), EXIT_BUDGET, "more than 10000 linearizations"),
+        (("finset", "copower", "--power", "5000", "--j", "2", "--c", "10"), EXIT_USAGE, "exceeds limit"),
+        (("finset", "copower", "--power", "10000000", "--j", "2", "--c", "10"), EXIT_USAGE, "exceeds limit"),
+        (("matrix", "theorem1", "--dims", "200,200"), EXIT_USAGE, "exceeds limit"),
+        (("matrix", "theorem1", "--dims", "100,100"), EXIT_USAGE, "exceeds limit"),
+        (("matrix", "theorem3", "--dims", "100,100"), EXIT_USAGE, "exceeds limit"),
+    ],
+    ids=["normalize-8-units", "power-5000", "power-10000000", "theorem1-200", "theorem1-100", "theorem3-100"],
+)
+def test_oversize_request_refused_quickly(capsys, argv, want_code, want_err):
+    began = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - began < 1.0
+    assert code == want_code
+    assert want_err in err
 
 
 def test_unknown_subcommand_exits_3(capsys):

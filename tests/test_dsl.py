@@ -1,11 +1,14 @@
 """Parser, printer, and error positions for the .cmt text format."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import FIXTURES, THEOREMS
 
 from commuter.core import Diagram, Slice, compose, gen_diagram, identity, tensor
 from commuter.dsl import (
+    MAX_TERM_DEPTH,
     Document,
     load_document,
     parse_document,
@@ -15,7 +18,7 @@ from commuter.dsl import (
     print_word,
     tokenize,
 )
-from commuter.errors import ParseError, TypingError
+from commuter.errors import CommuterError, ParseError, TypingError
 
 ALL_DOCUMENTS = (
     THEOREMS / "theorem1.cmt",
@@ -178,6 +181,51 @@ def test_bad_typing_fixture_reports_opening_paren():
     assert str(exc.value) == (
         "line 5, col 9: cannot compose: first diagram ends at Y, second starts at X"
     )
+
+
+def nested(depth: int) -> str:
+    """A document whose one term sits inside ``depth`` parentheses."""
+    return "obj A\ngen f : A -> A\ndia d = " + "(" * depth + "f" + " ; f)" * depth + "\n"
+
+
+def test_parse_nesting_limit_points_at_offending_paren():
+    doc = parse_document(nested(MAX_TERM_DEPTH))
+    assert len(doc.diagrams["d"].slices) == MAX_TERM_DEPTH + 1
+    for depth in (MAX_TERM_DEPTH + 1, 3000):
+        with pytest.raises(ParseError) as exc:
+            parse_document(nested(depth))
+        assert (exc.value.line, exc.value.col) == (3, 9 + MAX_TERM_DEPTH)
+        assert "nests more than" in str(exc.value)
+    with pytest.raises(ParseError):
+        parse_term("(" * 3000 + "f" + " ; f)" * 3000, doc)
+
+
+_SOUP_TOKENS = (
+    "obj", "gen", "dia", "rule", "id", "A", "B", "f", "d", "1", ":", "->", "=",
+    "(", ")", ";", "*", "#", "\n", "x9", "?",
+)
+_PREAMBLES = ("", "obj A B\ngen f : A -> A\ngen g : 1 -> A B\ndia d = ")
+
+token_soup = st.tuples(
+    st.sampled_from(_PREAMBLES),
+    st.lists(
+        st.one_of(
+            st.sampled_from(_SOUP_TOKENS),
+            st.integers(min_value=1, max_value=5000).map(lambda n: "(" * n),
+        ),
+        max_size=40,
+    ),
+).map(lambda parts: parts[0] + " ".join(parts[1]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(token_soup)
+def test_parse_document_returns_or_raises_commuter_error(text):
+    try:
+        doc = parse_document(text)
+    except CommuterError:
+        return
+    assert isinstance(doc, Document)
 
 
 # ------------------------------------------------------------ terms in place

@@ -46,6 +46,8 @@ def test_map_validation():
         FinSetObj(-1)
     with pytest.raises(SizeError):
         FinSetObj(SIZE_LIMIT + 1)
+    with pytest.raises(SizeError, match="over 10\\^18"):
+        FinSetObj(10**5000)  # past str()'s 4300 digits
 
 
 def test_map_predicates():
@@ -92,6 +94,19 @@ def test_eval_obj_sizes():
 def test_eval_obj_size_guard():
     with pytest.raises(SizeError):
         eval_obj(PowerS(7), FinSetObj(10))
+
+
+def test_powers_refused_before_they_are_computed():
+    with pytest.raises(SizeError, match=r"2\^30 exceeds limit"):
+        hom_transpose_bijection(30, 1, 2)  # would list 2**30 maps
+    assert not hom_transpose_bijection(1, 30, 2)  # only the target hom set is too big
+    with pytest.raises(SizeError, match=r"10\^10000000 exceeds limit"):
+        eval_obj(PowerS(10**7), FinSetObj(10))
+    with pytest.raises(SizeError):
+        strength_map(FinSetObj(2), FinSetObj(2), FinSetObj(10**6))
+    with pytest.raises(SizeError):
+        natural_map_J_to_JD(FinSetObj(2), FinSetObj(10**6))
+    assert natural_map_J_to_JD(FinSetObj(1), FinSetObj(10**6)).table == (0,)
 
 
 def test_eval_map_times_table():

@@ -52,6 +52,10 @@ def test_kron_associative_and_guarded():
         kron(np.zeros((200, 200)), np.zeros((200, 200)))
     with pytest.raises(SizeError):
         eye(DIM_LIMIT + 1)
+    with pytest.raises(SizeError):
+        random_matrix(DIM_LIMIT + 1, 1, rng)
+    with pytest.raises(SizeError):
+        random_matrix(1, DIM_LIMIT + 1, rng)
 
 
 def test_dual_pair_zigzags_exact():
@@ -126,6 +130,31 @@ def test_eval_diagram_rejects_bad_shape():
     nameless = ModelAssignment(dims={}, mats={"f": np.zeros((3, 2))})
     with pytest.raises(TypingError):
         eval_diagram(gen_diagram(f), nameless)
+
+
+def test_eval_diagram_refuses_before_allocating(model, monkeypatch):
+    h = soundness_signature().morphisms["h"]
+    six_units = Diagram((), tuple(Slice(0, h) for _ in range(6)))  # 6**6 > DIM_LIMIT
+
+    def no_allocation(n):
+        raise AssertionError("allocated an identity block")
+
+    monkeypatch.setattr("commuter.matrix.eye", no_allocation)
+    with pytest.raises(SizeError):
+        eval_diagram(six_units, model)
+
+
+def test_numeric_checks_refuse_oversize_dims_before_building(monkeypatch):
+    def no_allocation(*args):
+        raise AssertionError("built a block")
+
+    for name in ("eye", "flip", "random_matrix"):
+        monkeypatch.setattr(f"commuter.matrix.{name}", no_allocation)
+    for n, x in ((22, 1), (100, 100), (200, 200)):  # n^3 * x > DIM_LIMIT
+        with pytest.raises(SizeError, match="exceeds limit"):
+            check_theorem1_numeric(n, x, 42)
+        with pytest.raises(SizeError, match="exceeds limit"):
+            check_theorem3_numeric(n, x)
 
 
 def fits_model(d, model):
