@@ -5,7 +5,8 @@ for user equations, theorem1/theorem3 for the built-in drivers, finset and
 matrix for the two concrete models.
 
 Exit codes: 0 success, 1 failed check or disproof, 2 budget exhausted,
-3 usage or parse error.
+3 usage or parse error.  A reader that closes stdout early ends the output,
+not the run, and the exit code stays the run's own.
 
 Output is plain text by default.  ``--format structured`` switches to
 line-delimited JSON records; the first record is always a header carrying
@@ -16,6 +17,7 @@ stdout is a terminal and NO_COLOR is unset.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -25,7 +27,7 @@ from .core import Diagram, boundaries, fmt_word
 from .duality import prove_theorem
 from .dsl import Document, load_document, parse_term, print_term
 from .errors import BudgetError, CommuterError, NumericError, SearchExhausted
-from .exchange import canonicalize, interchange_equal
+from .exchange import canonicalize, same_shape
 from .finset import FinSetObj, PowerS, TimesS, atom_strong_check, canonical_alpha
 from .matrix import TOL_CHAIN, TOL_EXACT, check_theorem1_numeric, check_theorem3_numeric
 from .prover import ProofTrace, SearchBudget, prove_equal, rules_from_signature
@@ -44,6 +46,25 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+@contextlib.contextmanager
+def _closed_stdout_ends_output():
+    """A reader that closes stdout early (``commuter theorem3 | head -1``)
+    ends the output, not the run: stdout is pointed at the null device, so
+    later writes and the interpreter's final flush are dropped instead of
+    raising, and the run still exits with its own code."""
+    try:
+        yield
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
+def _print(line: str) -> None:
+    with _closed_stdout_ends_output():
+        print(line)
+
+
 @dataclass
 class Output:
     structured: bool = False
@@ -56,11 +77,11 @@ class Output:
 
     def emit(self, record: dict) -> None:
         if self.structured:
-            print(json.dumps(record, sort_keys=True))
+            _print(json.dumps(record, sort_keys=True))
 
     def text(self, line: str = "") -> None:
         if not self.structured:
-            print(line)
+            _print(line)
 
     def mark(self, word: str, good: bool) -> str:
         if not self.color:
@@ -191,7 +212,8 @@ def cmd_normalize(args, out: Output) -> int:
     )
     if rhs is None:
         return out.status("ok", EXIT_OK)
-    equal = interchange_equal(lhs, rhs)
+    # the lhs class was walked once already, for its canonical form
+    equal = same_shape(lhs, rhs) and canonicalize(rhs).diagram == canon.diagram
     verdict = "equal" if equal else "not equal"
     out.text(f"comparison: {out.mark(verdict, equal)} (up to slice interchange)")
     out.emit({"record": "comparison", "equal": equal})
@@ -396,6 +418,13 @@ def build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    code = _run(argv)
+    with _closed_stdout_ends_output():
+        sys.stdout.flush()
+    return code
+
+
+def _run(argv: list[str] | None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

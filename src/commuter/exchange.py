@@ -5,9 +5,18 @@ the first slice's output block occupy disjoint wire intervals in the word
 between them (blocks that merely abut are disjoint).  Swapping them adjusts
 offsets for the wires the other slice added or removed.  The equivalence
 generated by these swaps is decided by exhausting the reachable class
-(breadth-first over single swaps) and picking its lexicographically least
-member under the per-slice key (offset, generator declaration index,
-generator name).
+(breadth-first over single swaps) and picking its least member under the
+per-slice key (offset, generator declaration index, generator name).
+
+The walk runs on flat integer keys.  Each call ranks the diagram's distinct
+generators by (declaration index, name) and writes a slice sequence as the
+tuple (offset_0, rank_0, offset_1, rank_1, ...).  A swap is arithmetic on the
+ranks' domain and codomain lengths, and the visited set hashes plain ints.
+Keys compare lexicographically in the same order as their slice sequences do
+under the per-slice key, so the canonical form is the least key, and slices
+and diagrams are built only for output.  The one exception is two distinct
+generators sharing index and name: the per-slice key cannot tell them apart,
+so ``canonicalize`` then compares by that key alone.
 
 The exhaustive search is deliberate.  The class is not a trace monoid: when a
 slice deletes a wire, an insertion that happened next to that wire can end up
@@ -21,43 +30,52 @@ LINEARIZATION_CAP members, so no input gets unbounded time or memory.
 
 from __future__ import annotations
 
-from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass
+from operator import attrgetter
 
-from .core import Diagram, Slice
+from .core import Diagram, MorGen, Slice, Word, intermediate_words
 from .errors import BudgetError, NotSwappableError
 
 LINEARIZATION_CAP = 10_000
 
 
-def _swap_variants(first: Slice, second: Slice) -> tuple[tuple[Slice, Slice], ...]:
+def _swap_variants(
+    lo1: int, dom1: int, cod1: int, lo2: int, dom2: int, cod2: int
+) -> list[tuple[int, int]]:
     """Every exchange of two consecutive slices; empty when they interfere.
 
-    Intervals are measured in the word between the two slices: the first
-    slice's output block against the second slice's input block.  An empty
-    block at position p interferes only when p falls strictly inside the
-    other block.  Usually at most one of the two cases applies; both apply
-    exactly when a deletion's output point and an insertion's input point
-    coincide, and then the insertion may land on either side of the deleted
-    block, so the exchange has two distinct results.
+    The first slice sits at offset lo1 with dom1 input and cod1 output wires,
+    the second at lo2 with dom2 and cod2.  Each exchange is given as the pair
+    (new offset of the second slice, new offset of the first), the order in
+    which they then run.  Intervals are measured in the word between the two
+    slices: the first slice's output block against the second slice's input
+    block.  An empty block at position p interferes only when p falls
+    strictly inside the other block.  Usually at most one of the two cases
+    applies; both apply exactly when a deletion's output point and an
+    insertion's input point coincide, and then the insertion may land on
+    either side of the deleted block, so the exchange has two distinct
+    results.
     """
-    lo2 = second.offset
-    hi2 = lo2 + len(second.gen.dom)
-    lo1 = first.offset
-    hi1 = lo1 + len(first.gen.cod)
-    out: list[tuple[Slice, Slice]] = []
-    if hi2 <= lo1:
+    out = []
+    if lo2 + dom2 <= lo1:
         # second acts entirely left of first's output: first drifts by the
         # length change second introduces
-        delta = len(second.gen.cod) - len(second.gen.dom)
-        out.append((Slice(lo2, second.gen), Slice(first.offset + delta, first.gen)))
-    if lo2 >= hi1:
+        out.append((lo2, lo1 + cod2 - dom2))
+    if lo2 >= lo1 + cod1:
         # second acts entirely right: undo first's length change on it
-        delta = len(first.gen.cod) - len(first.gen.dom)
-        pair = (Slice(lo2 - delta, second.gen), Slice(first.offset, first.gen))
+        pair = (lo2 - cod1 + dom1, lo1)
         if pair not in out:
             out.append(pair)
-    return tuple(out)
+    return out
+
+
+def _slice_variants(first: Slice, second: Slice) -> list[tuple[int, int]]:
+    """``_swap_variants`` of two consecutive slices."""
+    f, s = first.gen, second.gen
+    return _swap_variants(
+        first.offset, len(f.dom), len(f.cod), second.offset, len(s.dom), len(s.cod)
+    )
 
 
 def _swap_adjacent(first: Slice, second: Slice) -> tuple[Slice, Slice] | None:
@@ -67,8 +85,11 @@ def _swap_adjacent(first: Slice, second: Slice) -> tuple[Slice, Slice] | None:
     listed variant (the insertion stays at its point and the deletion drifts
     right), so repeated application at one index is an involution.
     """
-    variants = _swap_variants(first, second)
-    return variants[0] if variants else None
+    variants = _slice_variants(first, second)
+    if not variants:
+        return None
+    lo2, lo1 = variants[0]
+    return Slice(lo2, second.gen), Slice(lo1, first.gen)
 
 
 def adjacent_swap(d: Diagram, i: int) -> Diagram:
@@ -88,40 +109,136 @@ def swappable(d: Diagram, i: int) -> bool:
     return _swap_adjacent(d.slices[i], d.slices[i + 1]) is not None
 
 
-def _slice_key(s: Slice) -> tuple[int, int, str]:
-    return (s.offset, s.gen.index, s.gen.name)
+Key = tuple[int, ...]
+
+_ORDER = attrgetter("index", "name")
 
 
-def _seq_key(slices: tuple[Slice, ...]) -> tuple:
-    return tuple(_slice_key(s) for s in slices)
+def _walk(start: Key, dom: list[int], cod: list[int]) -> dict[Key, tuple[int, ...]]:
+    """Every key reachable from ``start`` by swaps, in discovery order.
 
-
-def _swap_class(d: Diagram) -> dict[tuple[Slice, ...], tuple[int, ...]]:
-    """Every slice sequence reachable from d by swaps, in discovery order.
-
-    Each sequence maps to the permutation recording where its slices sat in
-    d (first path found wins; the search order is fixed, so the permutation
-    is deterministic).  Stops with BudgetError once more than
-    LINEARIZATION_CAP sequences exist.
+    A key lists (offset, rank) per slice, flattened; rank r's generator has
+    dom[r] input and cod[r] output wires.  Each key maps to the permutation
+    recording where its slices sat in ``start`` (first path found wins; the
+    search order is fixed, so the permutation is deterministic).  Stops with
+    BudgetError once more than LINEARIZATION_CAP keys exist.
     """
-    start = tuple(range(len(d.slices)))
-    seen: dict[tuple[Slice, ...], tuple[int, ...]] = {d.slices: start}
-    queue: deque[tuple[tuple[Slice, ...], tuple[int, ...]]] = deque([(d.slices, start)])
-    while queue:
-        slices, perm = queue.popleft()
-        for i in range(len(slices) - 1):
-            for pair in _swap_variants(slices[i], slices[i + 1]):
-                swapped = slices[:i] + pair + slices[i + 2 :]
+    seen = {start: tuple(range(len(start) // 2))}
+    queue = [start]
+    for key in queue:
+        perm = seen[key]
+        for j in range(0, len(key) - 2, 2):  # slices j/2 and j/2 + 1
+            lo1, r1, lo2, r2 = key[j : j + 4]
+            for new2, new1 in _swap_variants(lo1, dom[r1], cod[r1], lo2, dom[r2], cod[r2]):
+                swapped = key[:j] + (new2, r2, new1, r1) + key[j + 4 :]
                 if swapped in seen:
                     continue
-                moved = perm[:i] + (perm[i + 1], perm[i]) + perm[i + 2 :]
-                seen[swapped] = moved
+                i = j // 2
+                seen[swapped] = perm[:i] + (perm[i + 1], perm[i]) + perm[i + 2 :]
                 if len(seen) > LINEARIZATION_CAP:
                     raise BudgetError(
                         f"more than {LINEARIZATION_CAP} linearizations", count_at_least=len(seen)
                     )
-                queue.append((swapped, moved))
+                queue.append(swapped)
     return seen
+
+
+def _swap_class(d: Diagram) -> tuple[dict[Key, tuple[int, ...]], list[MorGen]]:
+    """d's interchange class as keys in discovery order, and the generator of each rank.
+
+    Ranks follow (declaration index, name); the order among distinct
+    generators that share both is their first appearance in d.
+    """
+    gens: list[MorGen] = []
+    for s in d.slices:
+        if s.gen not in gens:
+            gens.append(s.gen)
+    gens.sort(key=_ORDER)
+    start: list[int] = []
+    for s in d.slices:
+        start += (s.offset, gens.index(s.gen))
+    dom, cod = [], []
+    for g in gens:
+        dom.append(len(g.dom))
+        cod.append(len(g.cod))
+    return _walk(tuple(start), dom, cod), gens
+
+
+def _member(d: Diagram, key: Key, perm: tuple[int, ...]) -> Diagram:
+    """The member of d's class with this key and permutation: its slice p is
+    d's slice perm[p], moved to offset key[2p]."""
+    placed = zip(map(d.slices.__getitem__, perm), key[::2])
+    return Diagram(d.input, tuple(s if s.offset == o else Slice(o, s.gen) for s, o in placed))
+
+
+class SwapClass:
+    """The members of a diagram's interchange class, walked once.
+
+    Members stay keys; ``member`` and ``words`` build a member's diagram and
+    intermediate words on first use.  The prover matches every rule side of
+    a search node against one SwapClass instead of walking the class again.
+    """
+
+    def __init__(self, d: Diagram):
+        members, gens = _swap_class(d)
+        self._d = d
+        self._keys = list(members)
+        self._perms = list(members.values())
+        self._rank = {g: r for r, g in enumerate(gens)}
+        self._dom = [len(g.dom) for g in gens]
+        self._cod = [len(g.cod) for g in gens]
+        self._members: dict[int, Diagram] = {}
+        self._words: dict[int, list[Word]] = {}
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    def member(self, i: int) -> Diagram:
+        """Member i, in discovery order."""
+        if i not in self._members:
+            self._members[i] = _member(self._d, self._keys[i], self._perms[i])
+        return self._members[i]
+
+    def words(self, i: int) -> list[Word]:
+        """``intermediate_words`` of member i."""
+        if i not in self._words:
+            self._words[i] = intermediate_words(self.member(i))
+        return self._words[i]
+
+    def blocks(self, side: Diagram) -> Iterator[tuple[int, int, int]]:
+        """Every (i, start, k) where the slices of the non-empty ``side``,
+        shifted right by k >= 0, are member i's slices from position start
+        on; by member, then by start."""
+        n = len(side.slices)
+        ranks = tuple(self._rank.get(s.gen) for s in side.slices)
+        if None in ranks:
+            return
+        offsets = [s.offset for s in side.slices]
+        for i, key in enumerate(self._keys):
+            for j in range(0, len(key) - 2 * n + 1, 2):
+                k = key[j] - offsets[0]
+                if k < 0 or key[j + 1 : j + 2 * n : 2] != ranks:
+                    continue
+                if key[j : j + 2 * n : 2] == tuple(o + k for o in offsets):
+                    yield i, j // 2, k
+
+    def new_rewrite(
+        self, seen: set, i: int, start: int, end: int, k: int, dom: int, cod: int
+    ) -> bool:
+        """Does replacing member i's slices [start, end) by a block at offset
+        k, with dom input and cod output wires, give a result that no earlier
+        call with the same ``seen`` gave, up to interchange?
+
+        The block is collapsed to one placeholder slice.  The first time a
+        collapsed class comes up, all its members go into ``seen``, so a later
+        member of it is recognised without another walk.
+        """
+        key = self._keys[i]
+        collapsed = key[: 2 * start] + (k, len(self._dom)) + key[2 * end :]
+        if collapsed in seen:
+            return False
+        seen.update(_walk(collapsed, self._dom + [dom], self._cod + [cod]))
+        return True
 
 
 @dataclass(frozen=True, slots=True)
@@ -139,20 +256,38 @@ class CanonicalForm:
 def canonicalize(d: Diagram) -> CanonicalForm:
     """The least member of d's interchange class; deterministic.
 
-    Raises BudgetError when the class has more than LINEARIZATION_CAP members.
+    Members compare slice by slice under (offset, generator declaration
+    index, generator name), which is how their keys compare.  Raises
+    BudgetError when the class has more than LINEARIZATION_CAP members.
     """
-    members = _swap_class(d)
-    best = min(members, key=_seq_key)
-    return CanonicalForm(Diagram(d.input, best), members[best])
+    if not any(map(_slice_variants, d.slices, d.slices[1:])):
+        # no exchange applies anywhere: d is alone in its class
+        return CanonicalForm(Diagram(d.input, d.slices), tuple(range(len(d.slices))))
+    members, gens = _swap_class(d)
+    order = list(map(_ORDER, gens))
+    if len(set(order)) == len(order):
+        best = min(members)
+    else:
+        # distinct generators share a sort key: compare by that key alone,
+        # so ties go to the member found first
+        group = [order.index(k) for k in order]
+        best = min(
+            members, key=lambda key: tuple(group[x] if j % 2 else x for j, x in enumerate(key))
+        )
+    return CanonicalForm(_member(d, best, members[best]), members[best])
+
+
+def same_shape(d1: Diagram, d2: Diagram) -> bool:
+    """The cheap necessary condition for interchange equality: the same input
+    word, slice count and multiset of generator names."""
+    if d1.input != d2.input or len(d1.slices) != len(d2.slices):
+        return False
+    return sorted(s.gen.name for s in d1.slices) == sorted(s.gen.name for s in d2.slices)
 
 
 def interchange_equal(d1: Diagram, d2: Diagram) -> bool:
     """True exactly when the diagrams differ by interchange moves only."""
-    if d1.input != d2.input or len(d1.slices) != len(d2.slices):
-        return False
-    if sorted(s.gen.name for s in d1.slices) != sorted(s.gen.name for s in d2.slices):
-        return False
-    return canonicalize(d1).diagram == canonicalize(d2).diagram
+    return same_shape(d1, d2) and canonicalize(d1).diagram == canonicalize(d2).diagram
 
 
 def linearizations(d: Diagram) -> list[Diagram]:
@@ -161,4 +296,5 @@ def linearizations(d: Diagram) -> list[Diagram]:
     Raises BudgetError once more than LINEARIZATION_CAP distinct members have
     been found; the error carries the count seen so far as a lower bound.
     """
-    return [Diagram(d.input, slices) for slices in _swap_class(d)]
+    members, _ = _swap_class(d)
+    return [_member(d, key, perm) for key, perm in members.items()]

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Diagram, MorGen, Slice, boundaries, codomain, fmt_word, intermediate_words
+from .core import Diagram, Slice, Word, boundaries, codomain, fmt_word, intermediate_words
 from .errors import MatchInvalidError, SearchExhausted, SignatureError, TypingError
-from .exchange import canonicalize, interchange_equal, linearizations
+from .exchange import SwapClass, canonicalize, interchange_equal
 
 FORWARD = "forward"
 BACKWARD = "backward"
@@ -104,43 +104,41 @@ def _splice(lin: Diagram, start: int, end: int, k: int, replacement: Diagram) ->
     return Diagram(lin.input, lin.slices[:start] + moved + lin.slices[end:])
 
 
-_HOLE_NAME = "\x00hole"
-
-
 def find_matches(d: Diagram, side: Diagram) -> list[Match]:
     """All matches of ``side`` in ``d``, deduplicated by resulting rewrite.
 
     Two matches are redundant when replacing their blocks (by anything with
     the side's boundaries) yields interchange-equal results; that is detected
-    by canonicalizing the diagram with the block collapsed to a reserved
-    placeholder slice.  An empty side matches at every cut where its input
-    word embeds in the word at that cut.
+    by collapsing the block to a placeholder slice and asking whether the
+    result is a member of an earlier match's collapsed class.  An empty side
+    matches at every cut where its input word embeds in the word at that cut.
     """
-    side_cod = codomain(side)
-    hole = MorGen(_HOLE_NAME, side.input, side_cod, index=-1)
+    cls = SwapClass(d)
+    cls.words(0)  # an ill-typed d raises TypingError
+    return _matches(cls, side)
+
+
+def _matches(cls: SwapClass, side: Diagram) -> list[Match]:
+    width = len(side.input)
+    side_cod = len(codomain(side))
     out: list[Match] = []
-    seen: set[Diagram] = set()
-    nslices = len(side.slices)
-    for lin in linearizations(d):
-        words = intermediate_words(lin)
-        if nslices > 0:
-            for start in range(len(lin.slices) - nslices + 1):
-                k = lin.slices[start].offset - side.slices[0].offset
-                if k < 0 or not _block_same(lin, start, side, k):
-                    continue
-                w = words[start]
-                if w[k : k + len(side.input)] != side.input:
-                    continue
-                m = Match(lin, start, start + nslices, k, len(w) - k - len(side.input))
-                _push_dedup(out, seen, m, hole)
-        else:
-            for cut in range(len(lin.slices) + 1):
-                w = words[cut]
-                for k in range(len(w) - len(side.input) + 1):
-                    if w[k : k + len(side.input)] != side.input:
-                        continue
-                    m = Match(lin, cut, cut, k, len(w) - k - len(side.input))
-                    _push_dedup(out, seen, m, hole)
+    seen: set = set()
+
+    def push(i: int, start: int, end: int, k: int, w: Word) -> None:
+        if cls.new_rewrite(seen, i, start, end, k, width, side_cod):
+            out.append(Match(cls.member(i), start, end, k, len(w) - k - width))
+
+    if side.slices:
+        for i, start, k in cls.blocks(side):
+            w = cls.words(i)[start]
+            if w[k : k + width] == side.input:
+                push(i, start, start + len(side.slices), k, w)
+    else:
+        for i in range(len(cls)):
+            for cut, w in enumerate(cls.words(i)):
+                for k in range(len(w) - width + 1):
+                    if w[k : k + width] == side.input:
+                        push(i, cut, cut, k, w)
     return out
 
 
@@ -150,14 +148,6 @@ def _block_same(lin: Diagram, start: int, side: Diagram, k: int) -> bool:
         if got.gen != want.gen or got.offset != want.offset + k:
             return False
     return True
-
-
-def _push_dedup(out: list[Match], seen: set[Diagram], m: Match, hole: MorGen) -> None:
-    plugged = _splice(m.lin, m.start, m.end, m.whisker_left, Diagram(hole.dom, (Slice(0, hole),)))
-    key = canonicalize(plugged).diagram
-    if key not in seen:
-        seen.add(key)
-        out.append(m)
 
 
 def apply_rule(d: Diagram, rule: RewriteRule, m: Match, direction: str = FORWARD) -> Diagram:
@@ -229,7 +219,8 @@ def prove_equal(
 
     Bidirectional breadth-first search on canonical forms; the two frontiers
     advance alternately one level at a time, so the first meeting point gives
-    a shortest proof.  Deterministic for a fixed rule list.
+    a shortest proof.  Each expanded node's interchange class is walked once
+    and matched against every rule side.  Deterministic for a fixed rule list.
     """
     if boundaries(lhs) != boundaries(rhs):
         raise TypingError(
@@ -268,11 +259,12 @@ def prove_equal(
                 continue
             new: dict[Diagram, _Edge] = {}
             for node in frontier[side]:
+                cls = SwapClass(node)
                 for rule in rules:
                     for direction in (FORWARD, BACKWARD):
                         src = rule.side(direction)
                         dst = rule.other(direction)
-                        for m in find_matches(node, src):
+                        for m in _matches(cls, src):
                             raw = _splice(m.lin, m.start, m.end, m.whisker_left, dst)
                             child = canonicalize(raw).diagram
                             if child in visited[side] or child in new:

@@ -1,16 +1,22 @@
 """End-to-end command line tests: golden outputs, exit codes, formats.
 
 Every test drives ``main`` in process so exit codes and streams are pinned
-without spawning an interpreter.
+without spawning an interpreter, except the closed-pipe tests, which need a
+real pipe.
 """
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from conftest import FIXTURES, THEOREMS
 
+from commuter import exchange
 from commuter.cli import EXIT_BUDGET, EXIT_FAILED, EXIT_OK, EXIT_USAGE, Output, main
 
 THEOREM1 = str(THEOREMS / "theorem1.cmt")
@@ -168,6 +174,24 @@ def test_normalize_comparison_not_equal(capsys):
     )
     assert code == EXIT_FAILED
     assert out.endswith("comparison: not equal (up to slice interchange)\n")
+
+
+def test_normalize_comparison_walks_each_class_once(capsys, monkeypatch):
+    walks = []
+    walk = exchange._swap_class
+
+    def counted(d):
+        walks.append(d)
+        return walk(d)
+
+    monkeypatch.setattr(exchange, "_swap_class", counted)
+    code, out, err = run(
+        capsys, "normalize", "--file", MONOID,
+        "--lhs", "((u * u) * (u * u))", "--rhs", "(u * (u * (u * u)))",
+    )
+    assert code == EXIT_OK
+    assert out.endswith("comparison: equal (up to slice interchange)\n")
+    assert len(walks) == 2  # lhs for its canonical form, rhs to compare
 
 
 # ------------------------------------------------------------------- finset
@@ -423,3 +447,35 @@ def test_structured_status_matches_exit(capsys, argv):
     assert records[0]["record"] == "header"
     assert records[-1]["record"] == "status"
     assert records[-1]["exit"] == code
+
+
+# ------------------------------------------------------------- closed stdout
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize(
+    "argv, want_code",
+    [
+        (("theorem3",), EXIT_OK),
+        (("--format", "structured", "theorem3"), EXIT_OK),
+        (("normalize", "--file", MONOID, "--lhs", "mm_left", "--rhs", "mm_right"), EXIT_FAILED),
+        (("--help",), EXIT_OK),
+    ],
+    ids=["theorem3", "structured", "normalize-unequal", "help"],
+)
+def test_closed_stdout_ends_output_without_traceback(argv, want_code, unbuffered):
+    # the reader is gone before the first write: unbuffered, the first line
+    # fails; buffered, the final flush does
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "commuter", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == want_code
+    assert "Traceback" not in err
+    assert "BrokenPipeError" not in err

@@ -1,4 +1,5 @@
 import time
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,8 @@ from commuter.core import (
 from commuter.errors import BudgetError, NotSwappableError
 from commuter.exchange import (
     LINEARIZATION_CAP,
+    _member,
+    _swap_class,
     adjacent_swap,
     canonicalize,
     interchange_equal,
@@ -74,6 +77,46 @@ def swap_closure(d, limit=5000):
                     seen.add(nxt)
                     frontier.append(nxt)
     return seen
+
+
+def reference_swap_class(d):
+    """The exhaustive class walk on plain Slice tuples: breadth-first over
+    single exchanges in a fixed order, each member mapped to the permutation
+    of the first path that reached it, BudgetError past the cap.  The oracle
+    for the integer-key walk."""
+    start = tuple(range(len(d.slices)))
+    seen = {d.slices: start}
+    queue = deque([(d.slices, start)])
+    while queue:
+        slices, perm = queue.popleft()
+        for i in range(len(slices) - 1):
+            for pair in exchange_pairs(slices[i], slices[i + 1]):
+                swapped = slices[:i] + pair + slices[i + 2 :]
+                if swapped in seen:
+                    continue
+                moved = perm[:i] + (perm[i + 1], perm[i]) + perm[i + 2 :]
+                seen[swapped] = moved
+                if len(seen) > LINEARIZATION_CAP:
+                    raise BudgetError("reference cap", count_at_least=len(seen))
+                queue.append((swapped, moved))
+    return seen
+
+
+def reference_canonical(d):
+    """The least reference member under (offset, index, name) per slice;
+    ties go to the member found first."""
+    members = reference_swap_class(d)
+    best = min(members, key=lambda sl: tuple((s.offset, s.gen.index, s.gen.name) for s in sl))
+    return Diagram(d.input, best), members[best]
+
+
+def assert_walks_agree(d):
+    members, _ = _swap_class(d)
+    decoded = [(_member(d, key, perm).slices, perm) for key, perm in members.items()]
+    assert decoded == list(reference_swap_class(d).items())
+    c = canonicalize(d)
+    assert (c.diagram, c.certificate) == reference_canonical(d)
+    assert linearizations(d) == [Diagram(d.input, sl) for sl, _ in decoded]
 
 
 # ---------------------------------------------------------------- swaps
@@ -254,3 +297,56 @@ def test_interchange_equal_matches_reachability(d):
         mutated = Diagram(d.input, other.slices[:-1]) if other.slices else None
         if mutated is not None and well_typed(mutated):
             assert not interchange_equal(d, mutated)
+
+
+# ------------------------------------------------- integer walk vs reference
+
+@settings(max_examples=150, deadline=None)
+@given(diagrams)
+def test_integer_walk_matches_reference_walk(d):
+    assert_walks_agree(d)
+
+
+# eps deletes the block eta inserts; where eps's output point meets eta's
+# input point the exchange has two landings
+DOUBLE_LANDINGS = [
+    Diagram(("A", "B"), (Slice(0, EPS), Slice(0, ETA))),
+    Diagram(("X", "A", "B"), (Slice(1, EPS), Slice(1, ETA), Slice(0, BETA))),
+    Diagram(("A", "B", "X", "A"), (Slice(0, EPS), Slice(0, ALPHA), Slice(0, ETA), Slice(3, SPLIT))),
+    Diagram(("A", "B", "A", "B"), (Slice(0, EPS), Slice(0, EPS), Slice(0, ETA), Slice(0, ETA))),
+    Diagram((), (Slice(0, ETA), Slice(2, ETA), Slice(1, EPS), Slice(1, ETA))),
+]
+
+
+@pytest.mark.parametrize("d", DOUBLE_LANDINGS, ids=str)
+def test_integer_walk_matches_reference_on_double_landings(d):
+    assert well_typed(d)
+    assert_walks_agree(d)
+
+
+def test_double_landing_gives_two_members():
+    members, _ = _swap_class(DOUBLE_LANDINGS[0])
+    assert len(members) == 3  # eps;eta plus eta on either side of eps
+
+
+def test_generators_sharing_index_and_name_break_ties_by_discovery():
+    # distinct generators with one (index, name): canonical order cannot tell
+    # them apart, so the first member found among the least ones wins
+    put_a = MorGen("f", (), ("A",), 0)
+    put_b = MorGen("f", (), ("B",), 0)
+    d = Diagram((), (Slice(0, put_a), Slice(0, put_b), Slice(0, put_a), Slice(1, put_b)))
+    assert_walks_agree(d)
+    members, _ = _swap_class(d)
+    slices = {key: _member(d, key, perm).slices for key, perm in members.items()}
+    assert min(members) != min(
+        members, key=lambda key: tuple((s.offset, s.gen.index, s.gen.name) for s in slices[key])
+    )
+
+
+def test_integer_walk_refuses_at_the_reference_count():
+    eight = unit_tensor(8)
+    with pytest.raises(BudgetError) as ours:
+        _swap_class(eight)
+    with pytest.raises(BudgetError) as ref:
+        reference_swap_class(eight)
+    assert ours.value.count_at_least == ref.value.count_at_least == LINEARIZATION_CAP + 1

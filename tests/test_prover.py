@@ -1,7 +1,20 @@
 import pytest
 
-from commuter.core import Diagram, Slice, compose, gen_diagram, identity, tensor, whisker
-from commuter.duality import theorem1_signature
+from commuter.core import (
+    Diagram,
+    MorGen,
+    Slice,
+    codomain,
+    compose,
+    gen_diagram,
+    identity,
+    intermediate_words,
+    tensor,
+    whisker,
+)
+from commuter.dsl import load_document, parse_term
+from commuter.duality import GOALS, load_theorem, theorem1_signature
+from commuter.exchange import canonicalize, linearizations
 from commuter.errors import (
     MatchInvalidError,
     SearchExhausted,
@@ -23,6 +36,8 @@ from commuter.prover import (
     replay,
     rules_from_signature,
 )
+
+from conftest import FIXTURES
 
 
 @pytest.fixture(scope="module")
@@ -117,6 +132,61 @@ def test_find_matches_same_gen_twice(sound_sig):
     d = compose(gen_diagram(s), gen_diagram(s))
     matches = find_matches(d, gen_diagram(s))
     assert len(matches) == 2  # replacing either occurrence differs
+
+
+def reference_find_matches(d, side):
+    """find_matches with the canonical-key dedup: walk every member of d's
+    class, and keep a match only when the canonical form of d with the block
+    collapsed to a placeholder slice is new."""
+    width = len(side.input)
+    hole = MorGen("\x00hole", side.input, codomain(side), index=-1)
+    out, seen = [], set()
+    for lin in linearizations(d):
+        words = intermediate_words(lin)
+        blocks = []
+        if side.slices:
+            n = len(side.slices)
+            for start in range(len(lin.slices) - n + 1):
+                k = lin.slices[start].offset - side.slices[0].offset
+                if k >= 0 and all(
+                    got.gen == want.gen and got.offset == want.offset + k
+                    for got, want in zip(lin.slices[start : start + n], side.slices)
+                ):
+                    blocks.append((start, start + n, k))
+        else:
+            blocks = [
+                (cut, cut, k) for cut, w in enumerate(words) for k in range(len(w) - width + 1)
+            ]
+        for start, end, k in blocks:
+            w = words[start]
+            if w[k : k + width] != side.input:
+                continue
+            plugged = Diagram(lin.input, lin.slices[:start] + (Slice(k, hole),) + lin.slices[end:])
+            key = canonicalize(plugged).diagram
+            if key not in seen:
+                seen.add(key)
+                out.append(Match(lin, start, end, k, len(w) - k - width))
+    return out
+
+
+@pytest.mark.parametrize("name", [*GOALS, "monoid"])
+def test_membership_dedup_matches_canonical_key_dedup(name):
+    doc = load_document(FIXTURES / "monoid.cmt") if name == "monoid" else load_theorem(name)
+    rules = rules_from_signature(doc.signature)
+    sides = [r.side(direction) for r in rules for direction in (FORWARD, BACKWARD)]
+    # the goals, the document's diagrams and the rule sides, then one level
+    # of rewrites of each, as the prover would reach them
+    targets = list(doc.diagrams.values()) + sides
+    targets += [parse_term(t, doc) for _, lhs, rhs in GOALS.get(name, ()) for t in (lhs, rhs)]
+    for t in list(targets):
+        for rule in rules:
+            for direction in (FORWARD, BACKWARD):
+                for m in find_matches(t, rule.side(direction))[:1]:
+                    targets.append(apply_rule(t, rule, m, direction))
+    assert len(targets) > 20
+    for t in targets:
+        for side in sides:
+            assert find_matches(t, side) == reference_find_matches(t, side)
 
 
 # ---------------------------------------------------------------- application
