@@ -6,17 +6,17 @@ between them (blocks that merely abut are disjoint).  Swapping them adjusts
 offsets for the wires the other slice added or removed.  The equivalence
 generated by these swaps is decided by exhausting the reachable class
 (breadth-first over single swaps) and picking its least member under the
-per-slice key (offset, generator declaration index, generator name).
+per-slice key (offset, generator declaration index, name, domain, codomain).
 
 The walk runs on flat integer keys.  Each call ranks the diagram's distinct
-generators by (declaration index, name) and writes a slice sequence as the
-tuple (offset_0, rank_0, offset_1, rank_1, ...).  A swap is arithmetic on the
-ranks' domain and codomain lengths, and the visited set hashes plain ints.
-Keys compare lexicographically in the same order as their slice sequences do
-under the per-slice key, so the canonical form is the least key, and slices
-and diagrams are built only for output.  The one exception is two distinct
-generators sharing index and name: the per-slice key cannot tell them apart,
-so ``canonicalize`` then compares by that key alone.
+generators by (declaration index, name, domain, codomain) and writes a slice
+sequence as the tuple (offset_0, rank_0, offset_1, rank_1, ...).  A swap is
+arithmetic on the ranks' domain and codomain lengths, and the visited set
+hashes plain ints.  Distinct generators get distinct ranks, and every member
+of a class has the same generators, so the ranks and therefore the least key
+are the same from any member: the canonical form is a class invariant.  Keys
+compare lexicographically in the same order as their slice sequences do under
+the per-slice key, and slices and diagrams are built only for output.
 
 The exhaustive search is deliberate.  The class is not a trace monoid: when a
 slice deletes a wire, an insertion that happened next to that wire can end up
@@ -70,14 +70,6 @@ def _swap_variants(
     return out
 
 
-def _slice_variants(first: Slice, second: Slice) -> list[tuple[int, int]]:
-    """``_swap_variants`` of two consecutive slices."""
-    f, s = first.gen, second.gen
-    return _swap_variants(
-        first.offset, len(f.dom), len(f.cod), second.offset, len(s.dom), len(s.cod)
-    )
-
-
 def _swap_adjacent(first: Slice, second: Slice) -> tuple[Slice, Slice] | None:
     """The exchange of two consecutive slices, or None when they interfere.
 
@@ -85,7 +77,10 @@ def _swap_adjacent(first: Slice, second: Slice) -> tuple[Slice, Slice] | None:
     listed variant (the insertion stays at its point and the deletion drifts
     right), so repeated application at one index is an involution.
     """
-    variants = _slice_variants(first, second)
+    f, s = first.gen, second.gen
+    variants = _swap_variants(
+        first.offset, len(f.dom), len(f.cod), second.offset, len(s.dom), len(s.cod)
+    )
     if not variants:
         return None
     lo2, lo1 = variants[0]
@@ -111,7 +106,7 @@ def swappable(d: Diagram, i: int) -> bool:
 
 Key = tuple[int, ...]
 
-_ORDER = attrgetter("index", "name")
+_ORDER = attrgetter("index", "name", "dom", "cod")
 
 
 def _walk(start: Key, dom: list[int], cod: list[int]) -> dict[Key, tuple[int, ...]]:
@@ -146,8 +141,8 @@ def _walk(start: Key, dom: list[int], cod: list[int]) -> dict[Key, tuple[int, ..
 def _swap_class(d: Diagram) -> tuple[dict[Key, tuple[int, ...]], list[MorGen]]:
     """d's interchange class as keys in discovery order, and the generator of each rank.
 
-    Ranks follow (declaration index, name); the order among distinct
-    generators that share both is their first appearance in d.
+    Ranks follow (declaration index, name, domain, codomain), a total order
+    on generators, so they do not depend on which member d is.
     """
     gens: list[MorGen] = []
     for s in d.slices:
@@ -157,10 +152,8 @@ def _swap_class(d: Diagram) -> tuple[dict[Key, tuple[int, ...]], list[MorGen]]:
     start: list[int] = []
     for s in d.slices:
         start += (s.offset, gens.index(s.gen))
-    dom, cod = [], []
-    for g in gens:
-        dom.append(len(g.dom))
-        cod.append(len(g.cod))
+    dom = [len(g.dom) for g in gens]
+    cod = [len(g.cod) for g in gens]
     return _walk(tuple(start), dom, cod), gens
 
 
@@ -168,7 +161,7 @@ def _member(d: Diagram, key: Key, perm: tuple[int, ...]) -> Diagram:
     """The member of d's class with this key and permutation: its slice p is
     d's slice perm[p], moved to offset key[2p]."""
     placed = zip(map(d.slices.__getitem__, perm), key[::2])
-    return Diagram(d.input, tuple(s if s.offset == o else Slice(o, s.gen) for s, o in placed))
+    return Diagram(d.input, tuple([s if s.offset == o else Slice(o, s.gen) for s, o in placed]))
 
 
 class SwapClass:
@@ -257,23 +250,11 @@ def canonicalize(d: Diagram) -> CanonicalForm:
     """The least member of d's interchange class; deterministic.
 
     Members compare slice by slice under (offset, generator declaration
-    index, generator name), which is how their keys compare.  Raises
+    index, name, domain, codomain), which is how their keys compare.  Raises
     BudgetError when the class has more than LINEARIZATION_CAP members.
     """
-    if not any(map(_slice_variants, d.slices, d.slices[1:])):
-        # no exchange applies anywhere: d is alone in its class
-        return CanonicalForm(Diagram(d.input, d.slices), tuple(range(len(d.slices))))
-    members, gens = _swap_class(d)
-    order = list(map(_ORDER, gens))
-    if len(set(order)) == len(order):
-        best = min(members)
-    else:
-        # distinct generators share a sort key: compare by that key alone,
-        # so ties go to the member found first
-        group = [order.index(k) for k in order]
-        best = min(
-            members, key=lambda key: tuple(group[x] if j % 2 else x for j, x in enumerate(key))
-        )
+    members, _ = _swap_class(d)
+    best = min(members)
     return CanonicalForm(_member(d, best, members[best]), members[best])
 
 

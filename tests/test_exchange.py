@@ -40,6 +40,13 @@ SPLIT = MorGen("split", ("X",), ("X", "X"), 4)
 
 GAMMA = Diagram(("A", "X"), (Slice(2, ETA), Slice(1, BETA), Slice(0, EPS)))
 
+# distinct generators that share index and name
+SCALAR = MorGen("f", (), (), 0)
+PUT_A = MorGen("f", (), ("A",), 0)
+PUT_B = MorGen("f", (), ("B",), 0)
+KEEP = MorGen("f", ("I",), ("I",), 0)
+TO_A = MorGen("f", ("I",), ("A",), 0)
+
 
 def exchange_pairs(first, second):
     """Both legal exchanges of an adjacent pair, written out from the
@@ -103,10 +110,15 @@ def reference_swap_class(d):
 
 
 def reference_canonical(d):
-    """The least reference member under (offset, index, name) per slice;
-    ties go to the member found first."""
+    """The least reference member under (offset, index, name, dom, cod) per
+    slice."""
     members = reference_swap_class(d)
-    best = min(members, key=lambda sl: tuple((s.offset, s.gen.index, s.gen.name) for s in sl))
+    best = min(
+        members,
+        key=lambda sl: tuple(
+            (s.offset, s.gen.index, s.gen.name, s.gen.dom, s.gen.cod) for s in sl
+        ),
+    )
     return Diagram(d.input, best), members[best]
 
 
@@ -329,18 +341,27 @@ def test_double_landing_gives_two_members():
     assert len(members) == 3  # eps;eta plus eta on either side of eps
 
 
-def test_generators_sharing_index_and_name_break_ties_by_discovery():
-    # distinct generators with one (index, name): canonical order cannot tell
-    # them apart, so the first member found among the least ones wins
-    put_a = MorGen("f", (), ("A",), 0)
-    put_b = MorGen("f", (), ("B",), 0)
-    d = Diagram((), (Slice(0, put_a), Slice(0, put_b), Slice(0, put_a), Slice(1, put_b)))
+@pytest.mark.parametrize(
+    "d",
+    [
+        Diagram((), (Slice(0, SCALAR), Slice(0, PUT_A))),
+        Diagram((), (Slice(0, PUT_A), Slice(0, PUT_B), Slice(0, PUT_A), Slice(1, PUT_B))),
+        Diagram(("I", "I"), (Slice(1, TO_A), Slice(0, KEEP))),
+        Diagram(("I", "I"), (Slice(0, TO_A), Slice(0, PUT_B), Slice(2, KEEP))),
+    ],
+    ids=str,
+)
+def test_generators_sharing_index_and_name_have_one_canonical_form(d):
+    # distinct generators with one (index, name) are ordered by domain and
+    # codomain, so every member of the class has the same least key
+    assert well_typed(d)
     assert_walks_agree(d)
-    members, _ = _swap_class(d)
-    slices = {key: _member(d, key, perm).slices for key, perm in members.items()}
-    assert min(members) != min(
-        members, key=lambda key: tuple((s.offset, s.gen.index, s.gen.name) for s in slices[key])
-    )
+    form = canonicalize(d)
+    members = linearizations(d)
+    assert len(members) > 1
+    for m in members:
+        assert canonicalize(m).diagram == form.diagram
+        assert interchange_equal(m, d)
 
 
 def test_integer_walk_refuses_at_the_reference_count():
