@@ -27,7 +27,7 @@ from .core import Diagram, boundaries, fmt_word
 from .duality import prove_theorem
 from .dsl import Document, load_document, parse_term, print_term
 from .errors import BudgetError, CommuterError, NumericError, SearchExhausted
-from .exchange import canonicalize, same_shape
+from .exchange import SwapClass
 from .finset import FinSetObj, PowerS, TimesS, atom_strong_check, canonical_alpha
 from .matrix import TOL_CHAIN, TOL_EXACT, check_theorem1_numeric, check_theorem3_numeric
 from .prover import ProofTrace, SearchBudget, prove_equal, rules_from_signature
@@ -155,11 +155,11 @@ def _residual_report(out: Output, command: str, report) -> int:
 # ---------------------------------------------------------------- commands
 
 def _load(path: str) -> Document:
-    """Load a document; a path that cannot be read is a usage error."""
+    """Load a document; a path that cannot be read as UTF-8 text is a usage error."""
     try:
         return load_document(path)
-    except OSError as e:
-        raise CommuterError(f"cannot read {path}: {e.strerror or e}") from None
+    except (OSError, UnicodeDecodeError) as e:
+        raise CommuterError(f"cannot read {path}: {getattr(e, 'strerror', None) or e}") from None
 
 
 def cmd_check(args, out: Output) -> int:
@@ -198,7 +198,8 @@ def _load_terms(args) -> tuple[Document, Diagram, Diagram | None]:
 
 def cmd_normalize(args, out: Output) -> int:
     _, lhs, rhs = _load_terms(args)
-    canon = canonicalize(lhs)
+    cls = SwapClass(lhs)  # walked once, for the canonical form and the comparison
+    canon = cls.least()
     out.text(f"input:     {print_term(lhs)}")
     out.text(f"canonical: {print_term(canon.diagram)}")
     out.text(f"slices:    {canon.diagram}")
@@ -212,8 +213,7 @@ def cmd_normalize(args, out: Output) -> int:
     )
     if rhs is None:
         return out.status("ok", EXIT_OK)
-    # the lhs class was walked once already, for its canonical form
-    equal = same_shape(lhs, rhs) and canonicalize(rhs).diagram == canon.diagram
+    equal = rhs in cls
     verdict = "equal" if equal else "not equal"
     out.text(f"comparison: {out.mark(verdict, equal)} (up to slice interchange)")
     out.emit({"record": "comparison", "equal": equal})

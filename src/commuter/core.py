@@ -17,7 +17,8 @@ from .errors import SignatureError, TypingError
 # An object word is a tuple of object-generator names; () is the unit.
 Word = tuple[str, ...]
 
-_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
+# The one name rule, for declarations and for the .cmt tokenizer.
+NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
 
 def fmt_word(w: Word) -> str:
@@ -218,5 +219,5 @@ class Signature:
 
 
 def _check_name(name: str) -> None:
-    if not _NAME_RE.match(name):
+    if not NAME_RE.fullmatch(name):
         raise SignatureError(f"bad name: {name!r}")

@@ -22,17 +22,15 @@ MAX_TERM_DEPTH parentheses deep; the parser recurses once per level.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 
-from .core import Diagram, Signature, Word, compose, fmt_word, gen_diagram, identity, intermediate_words, tensor
+from .core import NAME_RE, Diagram, Signature, Word, compose, fmt_word, gen_diagram, identity, intermediate_words, tensor
 from .errors import ParseError, SignatureError, TypingError
 from .prover import RewriteRule
 
 MAX_TERM_DEPTH = 200  # far below the interpreter's recursion limit
 
 _KEYWORDS = {"obj", "gen", "dia", "rule", "id"}
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 @dataclass(frozen=True, slots=True)
@@ -72,7 +70,7 @@ def tokenize(text: str) -> list[Token]:
                 out.append(Token("ONE", "1", ln, col))
                 i += 1
                 continue
-            m = _NAME_RE.match(raw, i)
+            m = NAME_RE.match(raw, i)
             if m:
                 word = m.group(0)
                 kind = word.upper() if word in _KEYWORDS else "NAME"

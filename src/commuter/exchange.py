@@ -5,18 +5,21 @@ the first slice's output block occupy disjoint wire intervals in the word
 between them (blocks that merely abut are disjoint).  Swapping them adjusts
 offsets for the wires the other slice added or removed.  The equivalence
 generated by these swaps is decided by exhausting the reachable class
-(breadth-first over single swaps) and picking its least member under the
-per-slice key (offset, generator declaration index, name, domain, codomain).
+(breadth-first over single swaps) once per ``SwapClass``, which answers the
+class's least member under the per-slice key (offset, generator declaration
+index, name, domain, codomain), its members, and membership.  Swaps are
+reversible, so d2 is in d1's class exactly when their canonical forms are
+equal, and ``interchange_equal`` walks one class, not two.
 
-The walk runs on flat integer keys.  Each call ranks the diagram's distinct
-generators by (declaration index, name, domain, codomain) and writes a slice
-sequence as the tuple (offset_0, rank_0, offset_1, rank_1, ...).  A swap is
-arithmetic on the ranks' domain and codomain lengths, and the visited set
-hashes plain ints.  Distinct generators get distinct ranks, and every member
-of a class has the same generators, so the ranks and therefore the least key
-are the same from any member: the canonical form is a class invariant.  Keys
-compare lexicographically in the same order as their slice sequences do under
-the per-slice key, and slices and diagrams are built only for output.
+The walk runs on flat integer keys.  Each class ranks its distinct generators
+by (declaration index, name, domain, codomain) and writes a slice sequence as
+the tuple (offset_0, rank_0, offset_1, rank_1, ...).  A swap is arithmetic on
+the ranks' domain and codomain lengths, and the visited set hashes plain
+ints.  Distinct generators get distinct ranks, and every member of a class
+has the same generators, so the ranks and therefore the least key are the
+same from any member: the canonical form is a class invariant.  Keys compare
+lexicographically in the same order as their slice sequences do under the
+per-slice key, and slices and diagrams are built only for output.
 
 The exhaustive search is deliberate.  The class is not a trace monoid: when a
 slice deletes a wire, an insertion that happened next to that wire can end up
@@ -138,76 +141,106 @@ def _walk(start: Key, dom: list[int], cod: list[int]) -> dict[Key, tuple[int, ..
     return seen
 
 
-def _swap_class(d: Diagram) -> tuple[dict[Key, tuple[int, ...]], list[MorGen]]:
-    """d's interchange class as keys in discovery order, and the generator of each rank.
+@dataclass(frozen=True, slots=True)
+class CanonicalForm:
+    """A canonical representative plus where each of its slices came from.
 
-    Ranks follow (declaration index, name, domain, codomain), a total order
-    on generators, so they do not depend on which member d is.
+    ``certificate[i]`` is the position, in the original diagram, of the slice
+    that ended up at position i of the canonical diagram.
     """
-    gens: list[MorGen] = []
-    for s in d.slices:
-        if s.gen not in gens:
-            gens.append(s.gen)
-    gens.sort(key=_ORDER)
-    start: list[int] = []
-    for s in d.slices:
-        start += (s.offset, gens.index(s.gen))
-    dom = [len(g.dom) for g in gens]
-    cod = [len(g.cod) for g in gens]
-    return _walk(tuple(start), dom, cod), gens
 
-
-def _member(d: Diagram, key: Key, perm: tuple[int, ...]) -> Diagram:
-    """The member of d's class with this key and permutation: its slice p is
-    d's slice perm[p], moved to offset key[2p]."""
-    placed = zip(map(d.slices.__getitem__, perm), key[::2])
-    return Diagram(d.input, tuple([s if s.offset == o else Slice(o, s.gen) for s, o in placed]))
+    diagram: Diagram
+    certificate: tuple[int, ...]
 
 
 class SwapClass:
-    """The members of a diagram's interchange class, walked once.
+    """A diagram's interchange class, walked once.
 
-    Members stay keys; ``member`` and ``words`` build a member's diagram and
-    intermediate words on first use.  The prover matches every rule side of
-    a search node against one SwapClass instead of walking the class again.
+    Members stay keys until asked for: ``least`` decodes the canonical form,
+    iteration and ``member`` decode members in discovery order, and
+    ``d in cls`` looks d's key up under the class's ranks.  Raises
+    BudgetError when the class has more than LINEARIZATION_CAP members.
     """
 
+    __slots__ = ("_d", "_gens", "_sizes", "_start", "_perms", "_keys", "_members", "_words")
+
     def __init__(self, d: Diagram):
-        members, gens = _swap_class(d)
-        self._d = d
-        self._keys = list(members)
-        self._perms = list(members.values())
-        self._rank = {g: r for r, g in enumerate(gens)}
-        self._dom = [len(g.dom) for g in gens]
-        self._cod = [len(g.cod) for g in gens]
-        self._members: dict[int, Diagram] = {}
-        self._words: dict[int, list[Word]] = {}
+        gens: list[MorGen] = []
+        for s in d.slices:
+            if s.gen not in gens:
+                gens.append(s.gen)
+        gens.sort(key=_ORDER)
+        start = tuple([x for s in d.slices for x in (s.offset, gens.index(s.gen))])
+        self._d, self._gens, self._start = d, gens, start
+        self._sizes = doms, cods = [len(g.dom) for g in gens], [len(g.cod) for g in gens]
+        self._perms = _walk(start, doms, cods)
+        self._keys: list[Key] | None = None  # built, with the caches, on first indexed use
+
+    def _key(self, d: Diagram) -> Key | None:
+        """d's (offset, rank) pairs, flattened; None if a generator is unranked."""
+        gens, key = self._gens, []
+        for s in d.slices:
+            if s.gen not in gens:
+                return None
+            key += (s.offset, gens.index(s.gen))
+        return tuple(key)
+
+    def _decode(self, key: Key, perm: tuple[int, ...]) -> Diagram:
+        """The member with this key: its slice p is the start diagram's slice
+        perm[p], moved to offset key[2p].  The start key gives the start
+        diagram itself, so a one-member class builds no diagram."""
+        d = self._d
+        if key == self._start:
+            return d
+        placed = zip(map(d.slices.__getitem__, perm), key[::2])
+        return Diagram(d.input, tuple([s if s.offset == o else Slice(o, s.gen) for s, o in placed]))
+
+    def _index(self) -> list[Key]:
+        if self._keys is None:
+            self._keys, self._members, self._words = list(self._perms), {}, {}
+        return self._keys
 
     def __len__(self) -> int:
-        return len(self._keys)
+        return len(self._perms)
+
+    def __iter__(self) -> Iterator[Diagram]:
+        """The members in discovery order."""
+        return (self._decode(key, perm) for key, perm in self._perms.items())
+
+    def __contains__(self, d: Diagram) -> bool:
+        """Exact membership: the class's input word and one of its keys."""
+        return d.input == self._d.input and self._key(d) in self._perms
+
+    def least(self) -> CanonicalForm:
+        """The least member (keys compare as the slices' per-slice keys do)."""
+        best = min(self._perms)
+        perm = self._perms[best]
+        return CanonicalForm(self._decode(best, perm), perm)
 
     def member(self, i: int) -> Diagram:
         """Member i, in discovery order."""
+        key = self._index()[i]
         if i not in self._members:
-            self._members[i] = _member(self._d, self._keys[i], self._perms[i])
+            self._members[i] = self._decode(key, self._perms[key])
         return self._members[i]
 
     def words(self, i: int) -> list[Word]:
         """``intermediate_words`` of member i."""
+        member = self.member(i)  # builds the caches on first use
         if i not in self._words:
-            self._words[i] = intermediate_words(self.member(i))
+            self._words[i] = intermediate_words(member)
         return self._words[i]
 
     def blocks(self, side: Diagram) -> Iterator[tuple[int, int, int]]:
         """Every (i, start, k) where the slices of the non-empty ``side``,
         shifted right by k >= 0, are member i's slices from position start
         on; by member, then by start."""
-        n = len(side.slices)
-        ranks = tuple(self._rank.get(s.gen) for s in side.slices)
-        if None in ranks:
+        side_key = self._key(side)
+        if side_key is None:
             return
-        offsets = [s.offset for s in side.slices]
-        for i, key in enumerate(self._keys):
+        n = len(side.slices)
+        offsets, ranks = side_key[::2], side_key[1::2]
+        for i, key in enumerate(self._index()):
             for j in range(0, len(key) - 2 * n + 1, 2):
                 k = key[j] - offsets[0]
                 if k < 0 or key[j + 1 : j + 2 * n : 2] != ranks:
@@ -226,56 +259,35 @@ class SwapClass:
         collapsed class comes up, all its members go into ``seen``, so a later
         member of it is recognised without another walk.
         """
-        key = self._keys[i]
-        collapsed = key[: 2 * start] + (k, len(self._dom)) + key[2 * end :]
+        key = self._index()[i]
+        collapsed = key[: 2 * start] + (k, len(self._gens)) + key[2 * end :]
         if collapsed in seen:
             return False
-        seen.update(_walk(collapsed, self._dom + [dom], self._cod + [cod]))
+        doms, cods = self._sizes
+        seen.update(_walk(collapsed, doms + [dom], cods + [cod]))
         return True
 
 
-@dataclass(frozen=True, slots=True)
-class CanonicalForm:
-    """A canonical representative plus where each of its slices came from.
-
-    ``certificate[i]`` is the position, in the original diagram, of the slice
-    that ended up at position i of the canonical diagram.
-    """
-
-    diagram: Diagram
-    certificate: tuple[int, ...]
-
-
 def canonicalize(d: Diagram) -> CanonicalForm:
-    """The least member of d's interchange class; deterministic.
-
-    Members compare slice by slice under (offset, generator declaration
-    index, name, domain, codomain), which is how their keys compare.  Raises
-    BudgetError when the class has more than LINEARIZATION_CAP members.
-    """
-    members, _ = _swap_class(d)
-    best = min(members)
-    return CanonicalForm(_member(d, best, members[best]), members[best])
-
-
-def same_shape(d1: Diagram, d2: Diagram) -> bool:
-    """The cheap necessary condition for interchange equality: the same input
-    word, slice count and multiset of generator names."""
-    if d1.input != d2.input or len(d1.slices) != len(d2.slices):
-        return False
-    return sorted(s.gen.name for s in d1.slices) == sorted(s.gen.name for s in d2.slices)
+    """The least member of d's interchange class; deterministic."""
+    return SwapClass(d).least()
 
 
 def interchange_equal(d1: Diagram, d2: Diagram) -> bool:
-    """True exactly when the diagrams differ by interchange moves only."""
-    return same_shape(d1, d2) and canonicalize(d1).diagram == canonicalize(d2).diagram
+    """True exactly when the diagrams differ by interchange moves only.
+
+    A different input word, slice count or multiset of generator names
+    answers without a walk; otherwise d2 must be a member of d1's class.
+    Swaps are reversible, so that holds iff the canonical forms are equal.
+    Only d1's class can raise BudgetError.
+    """
+    if d1.input != d2.input or len(d1.slices) != len(d2.slices):
+        return False
+    if sorted(s.gen.name for s in d1.slices) != sorted(s.gen.name for s in d2.slices):
+        return False
+    return d2 in SwapClass(d1)
 
 
 def linearizations(d: Diagram) -> list[Diagram]:
-    """Every distinct member of d's interchange class, in discovery order.
-
-    Raises BudgetError once more than LINEARIZATION_CAP distinct members have
-    been found; the error carries the count seen so far as a lower bound.
-    """
-    members, _ = _swap_class(d)
-    return [_member(d, key, perm) for key, perm in members.items()]
+    """Every distinct member of d's interchange class, in discovery order."""
+    return list(SwapClass(d))

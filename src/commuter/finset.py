@@ -137,12 +137,10 @@ def eval_obj(expr: FunctorExpr, c: FinSetObj) -> FinSetObj:
     match expr:
         case Id():
             return c
-        case TimesS(s):
-            return FinSetObj(s * c.size)
+        case TimesS(n) | CoprodJ(n):
+            return FinSetObj(n * c.size)
         case PowerS(s):
             return FinSetObj(_power_size(c.size, s))
-        case CoprodJ(j):
-            return FinSetObj(j * c.size)
         case Compose(outer, inner):
             return eval_obj(outer, eval_obj(inner, c))
     raise TypeError(f"not a functor expression: {expr!r}")
@@ -167,12 +165,12 @@ def eval_map(expr: FunctorExpr, f: FinSetMap) -> FinSetMap:
     match expr:
         case Id():
             return f
-        case TimesS(s):
+        case TimesS(n) | CoprodJ(n):
             dom = eval_obj(expr, f.dom)
             cod = eval_obj(expr, f.cod)
             table = tuple(
-                s0 * f.cod.size + f.table[c0]
-                for s0 in range(s)
+                n0 * f.cod.size + f.table[c0]
+                for n0 in range(n)
                 for c0 in range(f.dom.size)
             )
             return FinSetMap(dom, cod, table)
@@ -184,15 +182,6 @@ def eval_map(expr: FunctorExpr, f: FinSetMap) -> FinSetMap:
                 values = decode_power(code, max(f.dom.size, 1), s)
                 table.append(encode_power(tuple(f.table[v] for v in values), f.cod.size))
             return FinSetMap(dom, cod, tuple(table))
-        case CoprodJ(j):
-            dom = eval_obj(expr, f.dom)
-            cod = eval_obj(expr, f.cod)
-            table = tuple(
-                j0 * f.cod.size + f.table[c0]
-                for j0 in range(j)
-                for c0 in range(f.dom.size)
-            )
-            return FinSetMap(dom, cod, table)
         case Compose(outer, inner):
             return eval_map(outer, eval_map(inner, f))
     raise TypeError(f"not a functor expression: {expr!r}")

@@ -371,6 +371,7 @@ CLI_MATRIX = [
     (("theorem3",), 0, "3 steps", None),
     (("check", "--file", str(THEOREMS / "theorem1.cmt")), 0, "rules: 4", None),
     (("check", "--file", str(FIXTURES / "missing.cmt")), 3, None, "cannot read"),
+    (("check", "--file", str(FIXTURES / "not_utf8.cmt")), 3, None, "cannot read"),
     (("check", "--file", str(FIXTURES / "bad_syntax.cmt")), 3, None, "5:1: expected ')'"),
     (("check", "--file", str(FIXTURES / "bad_typing.cmt")), 3, None, "line 5, col 9"),
     (("prove", "--file", str(FIXTURES / "monoid.cmt"), "--lhs", "padded", "--rhs", "id U"), 0, "2 steps", None),

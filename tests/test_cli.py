@@ -21,6 +21,7 @@ from commuter.cli import EXIT_BUDGET, EXIT_FAILED, EXIT_OK, EXIT_USAGE, Output, 
 
 THEOREM1 = str(THEOREMS / "theorem1.cmt")
 MONOID = str(FIXTURES / "monoid.cmt")
+EIGHT_ENDOS = str(FIXTURES / "eight_endos.cmt")
 
 
 def run(capsys, *argv):
@@ -178,20 +179,36 @@ def test_normalize_comparison_not_equal(capsys):
 
 def test_normalize_comparison_walks_each_class_once(capsys, monkeypatch):
     walks = []
-    walk = exchange._swap_class
+    walk = exchange._walk
 
-    def counted(d):
-        walks.append(d)
-        return walk(d)
+    def counted(start, dom, cod):
+        walks.append(start)
+        return walk(start, dom, cod)
 
-    monkeypatch.setattr(exchange, "_swap_class", counted)
+    monkeypatch.setattr(exchange, "_walk", counted)
     code, out, err = run(
         capsys, "normalize", "--file", MONOID,
         "--lhs", "((u * u) * (u * u))", "--rhs", "(u * (u * (u * u)))",
     )
     assert code == EXIT_OK
     assert out.endswith("comparison: equal (up to slice interchange)\n")
-    assert len(walks) == 2  # lhs for its canonical form, rhs to compare
+    assert len(walks) == 1  # the lhs class gives the canonical form and the comparison
+
+
+@pytest.mark.parametrize(
+    "lhs, rhs, want_code, want_tail",
+    [
+        ("chain", "spread", EXIT_FAILED, "comparison: not equal (up to slice interchange)\n"),
+        ("spread", "chain", EXIT_BUDGET, ""),
+    ],
+)
+def test_normalize_refuses_only_an_lhs_class_past_the_cap(capsys, lhs, rhs, want_code, want_tail):
+    # chain's class has one member and spread's 8!, so spread is simply not a
+    # member of chain's class; the reverse needs spread's class walked
+    code, out, err = run(capsys, "normalize", "--file", EIGHT_ENDOS, "--lhs", lhs, "--rhs", rhs)
+    assert code == want_code
+    assert out.endswith(want_tail)
+    assert ("more than 10000 linearizations" in err) == (want_code == EXIT_BUDGET)
 
 
 # ------------------------------------------------------------------- finset

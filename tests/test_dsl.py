@@ -68,6 +68,18 @@ def test_tokenize_rejects_stray_character():
     assert "'@'" in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "text, line, col",
+    [("obj _X", 1, 5), ("obj X\ngen _f : X -> X", 2, 5), ("obj X\ngen f : X -> X\ndia _d = f", 3, 5)],
+)
+def test_leading_underscore_is_rejected_at_the_name(text, line, col):
+    # the tokenizer uses the declaration name rule, so the error points at
+    # the offending name, not at the token after it
+    with pytest.raises(ParseError) as exc:
+        parse_document(text)
+    assert (exc.value.line, exc.value.col) == (line, col)
+
+
 def test_tokenize_comment_hides_rest_of_line():
     toks = tokenize("obj X # -> ; ( )\nobj Y")
     assert [t.text for t in toks if t.kind != "EOF"] == ["obj", "X", "obj", "Y"]

@@ -19,8 +19,7 @@ from commuter.core import (
 from commuter.errors import BudgetError, NotSwappableError
 from commuter.exchange import (
     LINEARIZATION_CAP,
-    _member,
-    _swap_class,
+    SwapClass,
     adjacent_swap,
     canonicalize,
     interchange_equal,
@@ -123,12 +122,16 @@ def reference_canonical(d):
 
 
 def assert_walks_agree(d):
-    members, _ = _swap_class(d)
-    decoded = [(_member(d, key, perm).slices, perm) for key, perm in members.items()]
-    assert decoded == list(reference_swap_class(d).items())
+    cls = SwapClass(d)
+    reference = reference_swap_class(d)
+    assert [m.slices for m in cls] == list(reference)
+    assert [cls.member(i).slices for i in range(len(cls))] == list(reference)
+    assert list(cls._perms.values()) == list(reference.values())  # certificates
+    least = cls.least()
+    assert (least.diagram, least.certificate) == reference_canonical(d)
     c = canonicalize(d)
     assert (c.diagram, c.certificate) == reference_canonical(d)
-    assert linearizations(d) == [Diagram(d.input, sl) for sl, _ in decoded]
+    assert linearizations(d) == [Diagram(d.input, sl) for sl in reference]
 
 
 # ---------------------------------------------------------------- swaps
@@ -337,8 +340,7 @@ def test_integer_walk_matches_reference_on_double_landings(d):
 
 
 def test_double_landing_gives_two_members():
-    members, _ = _swap_class(DOUBLE_LANDINGS[0])
-    assert len(members) == 3  # eps;eta plus eta on either side of eps
+    assert len(SwapClass(DOUBLE_LANDINGS[0])) == 3  # eps;eta plus eta on either side of eps
 
 
 @pytest.mark.parametrize(
@@ -367,7 +369,98 @@ def test_generators_sharing_index_and_name_have_one_canonical_form(d):
 def test_integer_walk_refuses_at_the_reference_count():
     eight = unit_tensor(8)
     with pytest.raises(BudgetError) as ours:
-        _swap_class(eight)
+        SwapClass(eight)
     with pytest.raises(BudgetError) as ref:
         reference_swap_class(eight)
     assert ours.value.count_at_least == ref.value.count_at_least == LINEARIZATION_CAP + 1
+
+
+# ------------------------------------------- membership vs canonical forms
+
+def canonical_forms_equal(d1, d2):
+    """The walk-and-compare decision that class membership replaced."""
+    return canonicalize(d1).diagram == canonicalize(d2).diagram
+
+
+def one_slice_mutations(d):
+    """d with one slice changed: moved by one wire, given another generator
+    of the signature, given a same-named generator of another boundary, or
+    dropped."""
+    sig = soundness_signature()
+    out = []
+    for i, s in enumerate(d.slices):
+        def put(new):
+            return Diagram(d.input, d.slices[:i] + new + d.slices[i + 1 :])
+
+        out.append(put((Slice(s.offset + 1, s.gen),)))
+        if s.offset:
+            out.append(put((Slice(s.offset - 1, s.gen),)))
+        out.extend(put((Slice(s.offset, g),)) for g in sig.morphisms.values() if g != s.gen)
+        out.append(put((Slice(s.offset, MorGen(s.gen.name, s.gen.dom, s.gen.cod + ("P",), s.gen.index)),)))
+        out.append(put(()))
+    return out
+
+
+def assert_membership_agrees(d1, d2):
+    for a, b in ((d1, d2), (d2, d1)):
+        assert interchange_equal(a, b) == canonical_forms_equal(a, b)
+
+
+@settings(max_examples=120, deadline=None)
+@given(diagrams, diagrams, st.randoms(use_true_random=False))
+def test_interchange_equal_agrees_with_comparing_canonical_forms(d, other, rnd):
+    member = rnd.choice(linearizations(d))
+    assert_membership_agrees(d, member)
+    assert_membership_agrees(d, other)
+    for mutated in one_slice_mutations(member):
+        assert_membership_agrees(d, mutated)
+
+
+def test_interchange_equal_agrees_on_the_seeded_soundness_diagrams():
+    rng = Lcg(20260818)  # the acceptance suite's soundness stream
+    sample = [random_diagram(soundness_signature(), rng, max_slices=6) for _ in range(1000)]
+    for k, (d, other) in enumerate(zip(sample, sample[1:])):
+        cls = SwapClass(d)
+        assert_membership_agrees(d, cls.member(len(cls) // 2))
+        assert_membership_agrees(d, other)
+        mutations = one_slice_mutations(cls.member(len(cls) - 1))
+        if mutations:  # one mutation per diagram, rotating through the kinds
+            assert_membership_agrees(d, mutations[k % len(mutations)])
+
+
+@settings(max_examples=120, deadline=None)
+@given(diagrams)
+def test_every_member_sees_the_whole_class(d):
+    # the swap relation is symmetric, so the class walked from any member
+    # contains the diagram it came from
+    for m in linearizations(d):
+        assert d in SwapClass(m)
+
+
+@pytest.mark.parametrize("d", DOUBLE_LANDINGS, ids=str)
+def test_every_member_sees_the_whole_class_across_double_landings(d):
+    members = linearizations(d)
+    for m in members:
+        cls = SwapClass(m)
+        assert all(other in cls for other in members)
+
+
+def test_membership_needs_the_input_word_and_ranked_generators():
+    cls = SwapClass(GAMMA)
+    assert GAMMA in cls
+    assert Diagram(("A", "Y"), GAMMA.slices) not in cls
+    renamed = MorGen("eps", ("A", "B"), (), 7)  # same name, not a generator of the class
+    assert Diagram(GAMMA.input, GAMMA.slices[:2] + (Slice(0, renamed),)) not in cls
+
+
+ENDO = MorGen("f", ("P",), ("P",), 0)
+CHAIN = Diagram(("P",) * 8, (Slice(0, ENDO),) * 8)  # a class of one member
+SPREAD = Diagram(("P",) * 8, tuple(Slice(i, ENDO) for i in range(8)))  # a class of 8!
+
+
+def test_only_the_first_class_can_pass_the_cap():
+    assert len(SwapClass(CHAIN)) == 1
+    assert SPREAD not in SwapClass(CHAIN)
+    assert not interchange_equal(CHAIN, SPREAD)
+    with pytest.raises(BudgetError):
+        interchange_equal(SPREAD, CHAIN)
