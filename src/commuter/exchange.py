@@ -11,15 +11,15 @@ index, name, domain, codomain), its members, and membership.  Swaps are
 reversible, so d2 is in d1's class exactly when their canonical forms are
 equal, and ``interchange_equal`` walks one class, not two.
 
-The walk runs on flat integer keys.  Each class ranks its distinct generators
-by (declaration index, name, domain, codomain) and writes a slice sequence as
-the tuple (offset_0, rank_0, offset_1, rank_1, ...).  A swap is arithmetic on
-the ranks' domain and codomain lengths, and the visited set hashes plain
-ints.  Distinct generators get distinct ranks, and every member of a class
-has the same generators, so the ranks and therefore the least key are the
+The walk runs on flat integer keys.  A ``ranking`` orders generators by
+(declaration index, name, domain, codomain), and a key writes a slice
+sequence as (offset_0, rank_0, offset_1, rank_1, ...): a swap is arithmetic
+on the ranks' domain and codomain lengths, and the visited set hashes ints.
+Every member of a class has the same generators, so the least key is the
 same from any member: the canonical form is a class invariant.  Keys compare
-lexicographically in the same order as their slice sequences do under the
-per-slice key, and slices and diagrams are built only for output.
+as their slice sequences do under the per-slice key, and keys under one
+ranking compare directly: the proof search ranks once, and a node is its
+class's least key.  Slices and diagrams are built only for output.
 
 The exhaustive search is deliberate.  The class is not a trace monoid: when a
 slice deletes a wire, an insertion that happened next to that wire can end up
@@ -33,7 +33,7 @@ LINEARIZATION_CAP members, so no input gets unbounded time or memory.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from operator import attrgetter
 
@@ -156,33 +156,31 @@ class CanonicalForm:
 class SwapClass:
     """A diagram's interchange class, walked once.
 
-    Members stay keys until asked for: ``least`` decodes the canonical form,
-    iteration and ``member`` decode members in discovery order, and
-    ``d in cls`` looks d's key up under the class's ranks.  Raises
-    BudgetError when the class has more than LINEARIZATION_CAP members.
+    Ranks come from ``gens``, a ``ranking`` of d's generators and maybe more
+    (by default, of d's alone).  Members stay keys until asked for: ``least``
+    decodes the canonical form, iteration and ``member`` decode members in
+    discovery order, and ``d in cls`` looks d's key up under the class's
+    ranks.  Raises BudgetError when a walked class has more than
+    LINEARIZATION_CAP members.
     """
 
     __slots__ = ("_d", "_gens", "_sizes", "_start", "_perms", "_keys", "_members", "_words")
 
-    def __init__(self, d: Diagram):
-        gens: list[MorGen] = []
-        for s in d.slices:
-            if s.gen not in gens:
-                gens.append(s.gen)
-        gens.sort(key=_ORDER)
+    def __init__(self, d: Diagram, gens: list[MorGen] | None = None):
+        gens = gens or ranking((d,))
         start = tuple([x for s in d.slices for x in (s.offset, gens.index(s.gen))])
         self._d, self._gens, self._start = d, gens, start
         self._sizes = doms, cods = [len(g.dom) for g in gens], [len(g.cod) for g in gens]
         self._perms = _walk(start, doms, cods)
         self._keys: list[Key] | None = None  # built, with the caches, on first indexed use
 
-    def _key(self, d: Diagram) -> Key | None:
-        """d's (offset, rank) pairs, flattened; None if a generator is unranked."""
+    def _key(self, d: Diagram, k: int = 0) -> Key | None:
+        """d's (offset + k, rank) pairs, flattened; None if a rank is missing."""
         gens, key = self._gens, []
         for s in d.slices:
             if s.gen not in gens:
                 return None
-            key += (s.offset, gens.index(s.gen))
+            key += (s.offset + k, gens.index(s.gen))
         return tuple(key)
 
     def _decode(self, key: Key, perm: tuple[int, ...]) -> Diagram:
@@ -211,9 +209,13 @@ class SwapClass:
         """Exact membership: the class's input word and one of its keys."""
         return d.input == self._d.input and self._key(d) in self._perms
 
+    def least_key(self) -> Key:
+        """The least member's key: the class's identity under its ranks."""
+        return min(self._perms)
+
     def least(self) -> CanonicalForm:
         """The least member (keys compare as the slices' per-slice keys do)."""
-        best = min(self._perms)
+        best = self.least_key()
         perm = self._perms[best]
         return CanonicalForm(self._decode(best, perm), perm)
 
@@ -249,23 +251,37 @@ class SwapClass:
                     yield i, j // 2, k
 
     def new_rewrite(
-        self, seen: set, i: int, start: int, end: int, k: int, dom: int, cod: int
-    ) -> bool:
-        """Does replacing member i's slices [start, end) by a block at offset
-        k, with dom input and cod output wires, give a result that no earlier
-        call with the same ``seen`` gave, up to interchange?
-
-        The block is collapsed to one placeholder slice.  The first time a
-        collapsed class comes up, all its members go into ``seen``, so a later
-        member of it is recognised without another walk.
-        """
+        self, seen: set, i: int, start: int, end: int, k: int, block: Diagram
+    ) -> Key | None:
+        """The least key of the class of member i with its slices [start, end)
+        replaced by ``block``'s slices shifted right by k (whose generators
+        must be ranked); None when ``seen`` holds a member of it.  A walked
+        class's keys all go into ``seen``, so a later rewrite into the same
+        class is recognised without another walk."""
         key = self._index()[i]
-        collapsed = key[: 2 * start] + (k, len(self._gens)) + key[2 * end :]
-        if collapsed in seen:
-            return False
-        doms, cods = self._sizes
-        seen.update(_walk(collapsed, doms + [dom], cods + [cod]))
-        return True
+        spliced = key[: 2 * start] + self._key(block, k) + key[2 * end :]
+        if spliced in seen:
+            return None
+        walked = _walk(spliced, *self._sizes)
+        seen.update(walked)
+        return min(walked)
+
+
+def ranking(diagrams: Iterable[Diagram]) -> list[MorGen]:
+    """The distinct generators of ``diagrams``, ordered by (declaration index,
+    name, domain, codomain); a generator's rank is its position."""
+    gens: list[MorGen] = []
+    for d in diagrams:
+        for s in d.slices:
+            if s.gen not in gens:
+                gens.append(s.gen)
+    gens.sort(key=_ORDER)
+    return gens
+
+
+def decode(word: Word, key: Key, gens: list[MorGen]) -> Diagram:
+    """The diagram on ``word`` whose key under the ranks ``gens`` is ``key``."""
+    return Diagram(word, tuple([Slice(o, gens[r]) for o, r in zip(key[::2], key[1::2])]))
 
 
 def canonicalize(d: Diagram) -> CanonicalForm:

@@ -223,16 +223,14 @@ def _check_blocks(n: int, x: int) -> None:
         raise SizeError(f"block side {n}^3*{x} exceeds limit {DIM_LIMIT}")
 
 
-def check_theorem1_numeric(
-    dim_a: int, dim_x: int, seed: int, tolerance: float = TOL_CHAIN
-) -> NumericReport:
+def check_theorem1_numeric(dim_a: int, dim_x: int, seed: int) -> NumericReport:
     """Draw a random invertible alpha : X A -> A X and test the full chain.
 
     beta is the mate of alpha's inverse, gamma the eta/beta/eps composite.
     The residuals cover the theorem's hypotheses (both squares hold for
     this alpha, beta pair) and its conclusion (gamma inverts alpha on both
-    sides).  Dims whose blocks would pass DIM_LIMIT are refused before
-    anything is drawn.
+    sides), each within TOL_CHAIN.  Dims whose blocks would pass DIM_LIMIT
+    are refused before anything is drawn.
     """
     n, x = dim_a, dim_x
     _check_blocks(n, x)
@@ -253,26 +251,23 @@ def check_theorem1_numeric(
         "gamma_then_alpha": float(np.max(np.abs(alpha @ gamma - eye(n * x)))),
         "alpha_then_gamma": float(np.max(np.abs(gamma @ alpha - eye(x * n)))),
     }
-    ok = all(v <= tolerance for v in residuals.values())
     return NumericReport(
         dims={"A": n, "X": x},
         residuals=residuals,
-        tolerance=tolerance,
-        ok=ok,
+        tolerance=TOL_CHAIN,
+        ok=all(v <= TOL_CHAIN for v in residuals.values()),
         seed=seed,
     )
 
 
-def check_theorem3_numeric(
-    dim_n: int, dim_x: int, tolerance: float = TOL_EXACT
-) -> NumericReport:
+def check_theorem3_numeric(dim_n: int, dim_x: int) -> NumericReport:
     """Instantiate the pass-across maps as flips and check every identity.
 
     A and B share dimension n so the diagonal dual pair relates them:
     eta picks out 1 -> B (x) A, eps collapses A (x) B -> 1.  The actions
     are a = flip(n, x) : A X -> X A and b = flip(n, x) : B X -> X B, with
     binv = flip(x, n).  All composites are 0/1 permutation matrices, so
-    every residual must be exactly zero:
+    every residual must be exactly zero (within TOL_EXACT):
 
     * the eta/binv/eps expression on A (x) X reproduces a;
     * the two-step composite on (B A) (x) X equals flip(n*n, x);
@@ -304,10 +299,9 @@ def check_theorem3_numeric(
         "binv_left": float(np.max(np.abs(binv @ b - eye(n * x)))),
         "binv_right": float(np.max(np.abs(b @ binv - eye(x * n)))),
     }
-    ok = all(v <= tolerance for v in residuals.values())
     return NumericReport(
         dims={"A": n, "B": n, "X": x},
         residuals=residuals,
-        tolerance=tolerance,
-        ok=ok,
+        tolerance=TOL_EXACT,
+        ok=all(v <= TOL_EXACT for v in residuals.values()),
     )

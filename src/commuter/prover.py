@@ -8,18 +8,21 @@ word entering the block.  Applying the rule splices the other side into that
 block.
 
 ``prove_equal`` runs breadth-first search from both endpoints simultaneously,
-one canonical form per node, alternating sides level by level, and returns a
-replayable trace when the two waves meet.  Running out of budget raises
-SearchExhausted; it never claims the diagrams are unequal.
+alternating sides level by level, and returns a replayable trace when the two
+waves meet.  One ranking of every generator serves the whole search, so a node
+is its interchange class's least key, and the walk that dedups a rewrite also
+gives its result's key.  Running out of budget raises SearchExhausted; it
+never claims the diagrams are unequal.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .core import Diagram, Slice, Word, boundaries, codomain, fmt_word, intermediate_words
+from .core import Diagram, MorGen, Slice, boundaries, codomain, fmt_word, gen_diagram, intermediate_words
 from .errors import MatchInvalidError, SearchExhausted, SignatureError, TypingError
-from .exchange import SwapClass, canonicalize, interchange_equal
+from .exchange import Key, SwapClass, decode, interchange_equal, ranking
 
 FORWARD = "forward"
 BACKWARD = "backward"
@@ -109,37 +112,37 @@ def find_matches(d: Diagram, side: Diagram) -> list[Match]:
 
     Two matches are redundant when replacing their blocks (by anything with
     the side's boundaries) yields interchange-equal results; that is detected
-    by collapsing the block to a placeholder slice and asking whether the
-    result is a member of an earlier match's collapsed class.  An empty side
-    matches at every cut where its input word embeds in the word at that cut.
+    by splicing in a placeholder generator.  An empty side matches at every
+    cut where its input word embeds in the word at that cut.
     """
-    cls = SwapClass(d)
+    hole = MorGen("\x00hole", side.input, codomain(side))
+    cls = SwapClass(d, ranking((d,)) + [hole])
     cls.words(0)  # an ill-typed d raises TypingError
-    return _matches(cls, side)
-
-
-def _matches(cls: SwapClass, side: Diagram) -> list[Match]:
-    width = len(side.input)
-    side_cod = len(codomain(side))
-    out: list[Match] = []
+    block = gen_diagram(hole)
     seen: set = set()
+    return [
+        Match(cls.member(i), start, end, k, right)
+        for i, start, end, k, right in _matches(cls, side)
+        if cls.new_rewrite(seen, i, start, end, k, block) is not None
+    ]
 
-    def push(i: int, start: int, end: int, k: int, w: Word) -> None:
-        if cls.new_rewrite(seen, i, start, end, k, width, side_cod):
-            out.append(Match(cls.member(i), start, end, k, len(w) - k - width))
 
+def _matches(cls: SwapClass, side: Diagram) -> Iterator[tuple[int, int, int, int, int]]:
+    """Every (member, start, end, k, right) where ``side``, whiskered by k
+    wires on the left and ``right`` on the right, is member's slices
+    [start, end); by member, then by start.  Not deduplicated."""
+    width = len(side.input)
     if side.slices:
         for i, start, k in cls.blocks(side):
             w = cls.words(i)[start]
             if w[k : k + width] == side.input:
-                push(i, start, start + len(side.slices), k, w)
+                yield i, start, start + len(side.slices), k, len(w) - k - width
     else:
         for i in range(len(cls)):
             for cut, w in enumerate(cls.words(i)):
                 for k in range(len(w) - width + 1):
                     if w[k : k + width] == side.input:
-                        push(i, cut, cut, k, w)
-    return out
+                        yield i, cut, cut, k, len(w) - k - width
 
 
 def _block_same(lin: Diagram, start: int, side: Diagram, k: int) -> bool:
@@ -202,11 +205,10 @@ def replay(trace: ProofTrace, rules: list[RewriteRule] | dict[str, RewriteRule])
 
 @dataclass(frozen=True, slots=True)
 class _Edge:
-    parent: Diagram  # canonical node the step was taken from
+    parent: Key  # the node the step was taken from
     rule: RewriteRule
     direction: str
     match: Match
-    raw: Diagram  # spliced result, a concrete linearization of the child
 
 
 def prove_equal(
@@ -217,29 +219,23 @@ def prove_equal(
 ) -> ProofTrace:
     """A trace turning ``lhs`` into ``rhs`` modulo interchange, or SearchExhausted.
 
-    Bidirectional breadth-first search on canonical forms; the two frontiers
-    advance alternately one level at a time, so the first meeting point gives
-    a shortest proof.  Each expanded node's interchange class is walked once
-    and matched against every rule side.  Deterministic for a fixed rule list.
+    Bidirectional breadth-first search on interchange classes; the two
+    frontiers advance alternately one level at a time, so the first meeting
+    point gives a shortest proof.  A node's class and each class it rewrites
+    into are walked once.  Deterministic for a fixed rule list.
     """
     if boundaries(lhs) != boundaries(rhs):
         raise TypingError(
             f"cannot compare: {fmt_word(lhs.input)} -> {fmt_word(codomain(lhs))} "
             f"against {fmt_word(rhs.input)} -> {fmt_word(codomain(rhs))}"
         )
-    cl = canonicalize(lhs).diagram
-    cr = canonicalize(rhs).diagram
-    if cl == cr:
-        trace = ProofTrace(lhs, (), rhs)
-        assert replay(trace, rules)
-        return trace
-
-    # per side: canonical node -> edge that discovered it (None at the root)
-    visited: tuple[dict[Diagram, _Edge | None], dict[Diagram, _Edge | None]] = (
-        {cl: None},
-        {cr: None},
-    )
-    frontier: list[list[Diagram]] = [[cl], [cr]]
+    gens = ranking([lhs, rhs, *(side for rule in rules for side in (rule.lhs, rule.rhs))])
+    kl, kr = (SwapClass(d, gens).least_key() for d in (lhs, rhs))
+    # per side: node -> edge that discovered it (None at the root)
+    visited: tuple[dict[Key, _Edge | None], dict[Key, _Edge | None]] = ({kl: None}, {kr: None})
+    if kl == kr:
+        return _assemble(lhs, rhs, kl, visited, rules)
+    frontier: list[list[Key]] = [[kl], [kr]]
     nodes = 2
     depths = [0, 0]
 
@@ -257,19 +253,19 @@ def prove_equal(
         for side in (0, 1):
             if not frontier[side]:
                 continue
-            new: dict[Diagram, _Edge] = {}
+            new: dict[Key, _Edge] = {}
             for node in frontier[side]:
-                cls = SwapClass(node)
+                cls = SwapClass(decode(lhs.input, node, gens), gens)
+                seen: set = set()  # every member of every class node rewrites into
                 for rule in rules:
                     for direction in (FORWARD, BACKWARD):
-                        src = rule.side(direction)
                         dst = rule.other(direction)
-                        for m in _matches(cls, src):
-                            raw = _splice(m.lin, m.start, m.end, m.whisker_left, dst)
-                            child = canonicalize(raw).diagram
-                            if child in visited[side] or child in new:
+                        for i, start, end, k, right in _matches(cls, rule.side(direction)):
+                            child = cls.new_rewrite(seen, i, start, end, k, dst)
+                            if child is None or child in visited[side] or child in new:
                                 continue
-                            new[child] = _Edge(node, rule, direction, m, raw)
+                            m = Match(cls.member(i), start, end, k, right)
+                            new[child] = _Edge(node, rule, direction, m)
                             nodes += 1
                             if nodes > budget.max_nodes:
                                 raise exhausted()
@@ -287,30 +283,24 @@ def prove_equal(
 def _assemble(
     lhs: Diagram,
     rhs: Diagram,
-    meet: Diagram,
-    visited: tuple[dict[Diagram, _Edge | None], dict[Diagram, _Edge | None]],
+    meet: Key,
+    visited: tuple[dict[Key, _Edge | None], dict[Key, _Edge | None]],
     rules: list[RewriteRule],
 ) -> ProofTrace:
-    steps: list[ProofStep] = []
-    for edge in _path(visited[0], meet):
-        steps.append(ProofStep(edge.rule.name, edge.direction, edge.match))
-    for edge in reversed(_path(visited[1], meet)):
-        steps.append(_inverted(edge))
+    steps = [ProofStep(e.rule.name, e.direction, e.match) for e in _path(visited[0], meet)]
+    steps += [_inverted(e) for e in reversed(_path(visited[1], meet))]
     trace = ProofTrace(lhs, tuple(steps), rhs)
     if not replay(trace, rules):
         raise AssertionError("internal error: assembled trace failed replay")
     return trace
 
 
-def _path(parents: dict[Diagram, _Edge | None], node: Diagram) -> list[_Edge]:
+def _path(parents: dict[Key, _Edge | None], node: Key) -> list[_Edge]:
     edges: list[_Edge] = []
-    while True:
-        edge = parents[node]
-        if edge is None:
-            edges.reverse()
-            return edges
+    while (edge := parents[node]) is not None:
         edges.append(edge)
         node = edge.parent
+    return edges[::-1]
 
 
 def _inverted(edge: _Edge) -> ProofStep:
@@ -319,7 +309,7 @@ def _inverted(edge: _Edge) -> ProofStep:
     written = edge.rule.other(edge.direction)
     m = edge.match
     inv = Match(
-        lin=edge.raw,
+        lin=_splice(m.lin, m.start, m.end, m.whisker_left, written),
         start=m.start,
         end=m.start + len(written.slices),
         whisker_left=m.whisker_left,

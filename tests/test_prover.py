@@ -1,9 +1,11 @@
 import pytest
 
+from commuter import exchange, prover
 from commuter.core import (
     Diagram,
     MorGen,
     Slice,
+    boundaries,
     codomain,
     compose,
     gen_diagram,
@@ -30,12 +32,15 @@ from commuter.prover import (
     ProofTrace,
     RewriteRule,
     SearchBudget,
+    _splice,
     apply_rule,
     find_matches,
     prove_equal,
     replay,
     rules_from_signature,
 )
+from commuter.rng import Lcg
+from commuter.sampling import random_diagram
 
 from conftest import FIXTURES
 
@@ -374,6 +379,147 @@ def test_prove_equal_deterministic(monoid):
     t1 = prove_equal(padded, identity(("U",)), rules)
     t2 = prove_equal(padded, identity(("U",)), rules)
     assert t1 == t2
+
+
+# ------------------------------------------- agreement with the canonical search
+
+def reference_prove_equal(lhs, rhs, rules, budget=SearchBudget()):
+    """The search on canonical diagrams: every node is a canonical form, and
+    every child is the canonical form of a ``find_matches`` match with the
+    rule's other side spliced in.  Returns the trace, or the stats of the
+    SearchExhausted the search raises."""
+    cl, cr = canonicalize(lhs).diagram, canonicalize(rhs).diagram
+    if cl == cr:
+        return ProofTrace(lhs, (), rhs)
+    visited = ({cl: None}, {cr: None})  # node -> (parent, rule, direction, match)
+    frontier = [[cl], [cr]]
+    nodes, depths = 2, [0, 0]
+
+    def stats():
+        return {
+            "nodes": nodes, "depth_left": depths[0], "depth_right": depths[1],
+            "frontier_left": len(frontier[0]), "frontier_right": len(frontier[1]),
+        }
+
+    def path(side, node):
+        edges = []
+        while visited[side][node] is not None:
+            edges.append(visited[side][node])
+            node = edges[-1][0]
+        return edges[::-1]
+
+    for _ in range(budget.max_depth_per_side):
+        for side in (0, 1):
+            if not frontier[side]:
+                continue
+            new = {}
+            for node in frontier[side]:
+                for rule in rules:
+                    for direction in (FORWARD, BACKWARD):
+                        dst = rule.other(direction)
+                        for m in find_matches(node, rule.side(direction)):
+                            raw = _splice(m.lin, m.start, m.end, m.whisker_left, dst)
+                            child = canonicalize(raw).diagram
+                            if child in visited[side] or child in new:
+                                continue
+                            new[child] = (node, rule, direction, m)
+                            nodes += 1
+                            if nodes > budget.max_nodes:
+                                return stats()
+            visited[side].update(new)
+            frontier[side] = list(new)
+            depths[side] += 1
+            for child in new:
+                if child in visited[1 - side]:
+                    steps = [ProofStep(r.name, dn, m) for _, r, dn, m in path(0, child)]
+                    for _, r, dn, m in reversed(path(1, child)):
+                        written = r.other(dn)
+                        lin = _splice(m.lin, m.start, m.end, m.whisker_left, written)
+                        back = BACKWARD if dn == FORWARD else FORWARD
+                        inv = Match(lin, m.start, m.start + len(written.slices),
+                                    m.whisker_left, m.whisker_right)
+                        steps.append(ProofStep(r.name, back, inv))
+                    return ProofTrace(lhs, tuple(steps), rhs)
+        if not frontier[0] and not frontier[1]:
+            return stats()
+    return stats()
+
+
+def search_result(lhs, rhs, rules, budget=SearchBudget()):
+    try:
+        return prove_equal(lhs, rhs, rules, budget)
+    except SearchExhausted as e:
+        return e.stats()
+
+
+def test_search_matches_canonical_form_search():
+    pairs = []  # (lhs, rhs, rules, budget)
+    for name, goals in GOALS.items():
+        doc = load_theorem(name)
+        rules = rules_from_signature(doc.signature)
+        pairs += [(parse_term(l, doc), parse_term(r, doc), rules, SearchBudget())
+                  for _, l, r in goals]
+    doc = load_document(FIXTURES / "monoid.cmt")
+    rules = rules_from_signature(doc.signature)
+    small = SearchBudget(max_depth_per_side=2, max_nodes=200)
+    named = [*doc.diagrams.values(), parse_term("id U", doc)]
+    pairs += [(a, b, rules, small) for a in named for b in named
+              if a != b and boundaries(a) == boundaries(b)]
+    # seeded random pairs: each draw against the next later draw with the
+    # same boundaries in another class, and against one rewrite of itself
+    rng = Lcg(1)
+    drawn = [random_diagram(doc.signature, rng, max_slices=2, max_word=2) for _ in range(60)]
+    fixed = len(pairs)
+    for i, a in enumerate(drawn):
+        later = (d for d in drawn[i + 1 :] if boundaries(d) == boundaries(a))
+        b = next((d for d in later if canonicalize(d) != canonicalize(a)), None)
+        if b is not None:
+            pairs.append((a, b, rules, small))
+        rule = rules[i % len(rules)]
+        direction = BACKWARD if i % 4 < 2 else FORWARD
+        found = find_matches(a, rule.side(direction))
+        if found:
+            pairs.append((a, apply_rule(a, rule, found[-1], direction), rules, small))
+    assert len(pairs) - fixed >= 50
+    outcomes = set()
+    for lhs, rhs, rules, budget in pairs:
+        got = search_result(lhs, rhs, rules, budget)
+        assert got == reference_prove_equal(lhs, rhs, rules, budget), (lhs, rhs)
+        outcomes.add(type(got))
+    assert outcomes == {ProofTrace, dict}  # both proofs and exhausted searches
+
+
+# each expanded node's class is walked once, and each rewrite into a class
+# that node has not yet rewritten into walks that class once
+SEARCH_WALKS = {
+    ("theorem1", "alpha_after_gamma"): 9,
+    ("theorem1", "gamma_after_alpha"): 9,
+    ("theorem3", "expr"): 56,
+    ("theorem1_dual", "b_after_delta"): 9,
+    ("theorem1_dual", "delta_after_b"): 9,
+    ("monoid", "padded"): 14,
+}
+
+
+@pytest.mark.parametrize("name, lhs", list(SEARCH_WALKS))
+def test_search_walks(name, lhs, monkeypatch):
+    if name == "monoid":
+        doc, rhs = load_document(FIXTURES / "monoid.cmt"), "id U"
+    else:
+        doc = load_theorem(name)
+        rhs = next(r for _, l, r in GOALS[name] if l == lhs)
+    rules = rules_from_signature(doc.signature)
+    walks = []
+    walk = exchange._walk
+
+    def counted(*args):
+        walks.append(args[0])
+        return walk(*args)
+
+    monkeypatch.setattr(exchange, "_walk", counted)
+    monkeypatch.setattr(prover, "replay", lambda trace, rules: True)
+    prove_equal(parse_term(lhs, doc), parse_term(rhs, doc), rules)
+    assert len(walks) == SEARCH_WALKS[name, lhs]
 
 
 # ------------------------------------------------- closure-oracle agreement
