@@ -173,9 +173,9 @@ def cmd_check(args, out: Output) -> int:
         src, dst = boundaries(dia)
         out.text(f"  {name} : {fmt_word(src)} -> {fmt_word(dst)} ({len(dia.slices)} slices)")
     out.text(f"rules: {len(sig.equations)}")
-    for name, lhs, _ in sig.equations:
-        src, dst = boundaries(lhs)
-        out.text(f"  {name} : {fmt_word(src)} -> {fmt_word(dst)}")
+    for rule in sig.equations.values():
+        src, dst = boundaries(rule.lhs)
+        out.text(f"  {rule.name} : {fmt_word(src)} -> {fmt_word(dst)}")
     out.emit(
         {
             "record": "summary",
@@ -379,8 +379,8 @@ def build_parser() -> _Parser:
     p.add_argument("--file", required=True)
     p.add_argument("--lhs", required=True)
     p.add_argument("--rhs", required=True)
-    p.add_argument("--max-depth", type=_positive_int, default=8)
-    p.add_argument("--max-nodes", type=_positive_int, default=50_000)
+    p.add_argument("--max-depth", type=_positive_int, default=SearchBudget().max_depth_per_side)
+    p.add_argument("--max-nodes", type=_positive_int, default=SearchBudget().max_nodes)
     p.set_defaults(run=cmd_prove)
 
     p = sub.add_parser("theorem1", help="inverse of a commutation map, both sides")

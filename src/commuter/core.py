@@ -1,10 +1,11 @@
-"""Object words, morphism generators, and slice-form diagrams.
+"""Object words, morphism generators, slice-form diagrams, and rewrite rules.
 
 A diagram over a strict monoidal signature is stored as an input word plus an
 ordered list of slices; each slice applies one morphism generator at a wire
 offset.  The codomain is never stored: it is recomputed by replaying the word
 rewriting that each slice performs, so a diagram is well-typed exactly when
-that replay never meets a mismatched segment.
+that replay never meets a mismatched segment.  A signature stores its
+equations as ``RewriteRule`` records, checked once when declared.
 """
 
 from __future__ import annotations
@@ -156,13 +157,49 @@ def gen_diagram(g: MorGen) -> Diagram:
     return Diagram(g.dom, (Slice(0, g),))
 
 
+FORWARD = "forward"
+BACKWARD = "backward"
+
+MAX_RULE_SLICES = 6
+
+
+@dataclass(frozen=True, slots=True)
+class RewriteRule:
+    """A named equation; the prover uses it in both orientations."""
+
+    name: str
+    lhs: Diagram
+    rhs: Diagram
+
+    def __post_init__(self):
+        if boundaries(self.lhs) != boundaries(self.rhs):
+            raise TypingError(
+                f"rule {self.name}: sides have different boundaries: "
+                f"{fmt_word(self.lhs.input)} -> {fmt_word(codomain(self.lhs))} vs "
+                f"{fmt_word(self.rhs.input)} -> {fmt_word(codomain(self.rhs))}"
+            )
+        for side in (self.lhs, self.rhs):
+            if len(side.slices) > MAX_RULE_SLICES:
+                raise ValueError(
+                    f"rule {self.name}: side has {len(side.slices)} slices, "
+                    f"limit is {MAX_RULE_SLICES}"
+                )
+
+    def side(self, direction: str) -> Diagram:
+        """The side that gets matched when applying in ``direction``."""
+        return self.lhs if direction == FORWARD else self.rhs
+
+    def other(self, direction: str) -> Diagram:
+        return self.rhs if direction == FORWARD else self.lhs
+
+
 @dataclass
 class Signature:
-    """Declared objects, morphism generators, and named equations."""
+    """Declared objects, morphism generators, and named rules."""
 
     objects: dict[str, ObjectGen] = field(default_factory=dict)
     morphisms: dict[str, MorGen] = field(default_factory=dict)
-    equations: list[tuple[str, Diagram, Diagram]] = field(default_factory=list)
+    equations: dict[str, RewriteRule] = field(default_factory=dict)
 
     def add_object(self, name: str) -> ObjectGen:
         _check_name(name)
@@ -182,18 +219,15 @@ class Signature:
         self.morphisms[name] = gen
         return gen
 
-    def add_equation(self, name: str, lhs: Diagram, rhs: Diagram) -> None:
-        if any(name == n for n, _, _ in self.equations):
+    def add_equation(self, name: str, lhs: Diagram, rhs: Diagram) -> RewriteRule:
+        """Check both sides against the signature, then store them as a rule
+        (whose record checks boundaries and MAX_RULE_SLICES)."""
+        if name in self.equations:
             raise SignatureError(f"duplicate equation name: {name}")
         self.check_diagram(lhs)
         self.check_diagram(rhs)
-        if boundaries(lhs) != boundaries(rhs):
-            raise TypingError(
-                f"equation {name}: sides have different boundaries: "
-                f"{fmt_word(lhs.input)} -> {fmt_word(codomain(lhs))} vs "
-                f"{fmt_word(rhs.input)} -> {fmt_word(codomain(rhs))}"
-            )
-        self.equations.append((name, lhs, rhs))
+        rule = self.equations[name] = RewriteRule(name, lhs, rhs)
+        return rule
 
     def check_word(self, w: Word) -> None:
         for name in w:

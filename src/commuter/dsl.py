@@ -26,11 +26,11 @@ from dataclasses import dataclass, field
 
 from .core import NAME_RE, Diagram, Signature, Word, compose, fmt_word, gen_diagram, identity, intermediate_words, tensor
 from .errors import ParseError, SignatureError, TypingError
-from .prover import RewriteRule
 
 MAX_TERM_DEPTH = 200  # far below the interpreter's recursion limit
 
 _KEYWORDS = {"obj", "gen", "dia", "rule", "id"}
+_PUNCTUATION = {":": "COLON", "=": "EQUALS", "(": "LPAREN", ")": "RPAREN", ";": "SEMI", "*": "STAR"}
 
 
 @dataclass(frozen=True, slots=True)
@@ -58,9 +58,8 @@ def tokenize(text: str) -> list[Token]:
                 out.append(Token("ARROW", "->", ln, col))
                 i += 2
                 continue
-            simple = {":": "COLON", "=": "EQUALS", "(": "LPAREN", ")": "RPAREN", ";": "SEMI", "*": "STAR"}
-            if ch in simple:
-                out.append(Token(simple[ch], ch, ln, col))
+            if ch in _PUNCTUATION:
+                out.append(Token(_PUNCTUATION[ch], ch, ln, col))
                 i += 1
                 continue
             if ch == "1":
@@ -119,38 +118,27 @@ class _Parser:
     # ------------------------------------------------------------ statements
 
     def file(self) -> Document:
+        statements = {"OBJ": self.stmt_obj, "GEN": self.stmt_gen, "DIA": self.stmt_dia, "RULE": self.stmt_rule}
         while self.peek().kind != "EOF":
-            tok = self.peek()
-            if tok.kind == "OBJ":
-                self.advance()
-                self.stmt_obj(tok)
-            elif tok.kind == "GEN":
-                self.advance()
-                self.stmt_gen(tok)
-            elif tok.kind == "DIA":
-                self.advance()
-                self.stmt_dia(tok)
-            elif tok.kind == "RULE":
-                self.advance()
-                self.stmt_rule(tok)
-            else:
+            tok = self.advance()
+            if tok.kind not in statements:
                 raise ParseError(
                     "expected a statement",
                     tok.line,
                     tok.col,
                     expected=("obj", "gen", "dia", "rule"),
                 )
+            statements[tok.kind]()
         return self.doc
 
     def fresh_name(self, tok: Token) -> str:
         name = tok.text
         sig = self.doc.signature
-        rules = {n for n, _, _ in sig.equations}
-        if name in sig.objects or name in sig.morphisms or name in self.doc.diagrams or name in rules:
+        if name in sig.objects or name in sig.morphisms or name in self.doc.diagrams or name in sig.equations:
             raise ParseError(f"name {name!r} already declared", tok.line, tok.col)
         return name
 
-    def stmt_obj(self, kw: Token) -> None:
+    def stmt_obj(self) -> None:
         if self.peek().kind != "NAME":
             tok = self.peek()
             raise ParseError("expected object name", tok.line, tok.col, expected=("name",))
@@ -158,7 +146,7 @@ class _Parser:
             tok = self.advance()
             self.doc.signature.add_object(self.fresh_name(tok))
 
-    def stmt_gen(self, kw: Token) -> None:
+    def stmt_gen(self) -> None:
         name_tok = self.expect("NAME", "generator name")
         name = self.fresh_name(name_tok)
         self.expect("COLON", "':'")
@@ -167,13 +155,13 @@ class _Parser:
         cod = self.word()
         self.doc.signature.add_morphism(name, dom, cod)
 
-    def stmt_dia(self, kw: Token) -> None:
+    def stmt_dia(self) -> None:
         name_tok = self.expect("NAME", "diagram name")
         name = self.fresh_name(name_tok)
         self.expect("EQUALS", "'='")
         self.doc.diagrams[name] = self.term()
 
-    def stmt_rule(self, kw: Token) -> None:
+    def stmt_rule(self) -> None:
         name_tok = self.expect("NAME", "rule name")
         name = self.fresh_name(name_tok)
         self.expect("COLON", "':'")
@@ -181,10 +169,9 @@ class _Parser:
         eq = self.expect("EQUALS", "'='")
         rhs = self.term()
         try:
-            RewriteRule(name, lhs, rhs)  # boundaries and MAX_RULE_SLICES
-        except (TypingError, ValueError) as e:
+            self.doc.signature.add_equation(name, lhs, rhs)
+        except (TypingError, ValueError) as e:  # boundaries, MAX_RULE_SLICES
             raise ParseError(str(e), eq.line, eq.col) from e
-        self.doc.signature.add_equation(name, lhs, rhs)
 
     # ------------------------------------------------------------ words, terms
 
@@ -306,6 +293,6 @@ def print_document(doc: Document) -> str:
         lines.append(f"gen {gen.name} : {fmt_word(gen.dom)} -> {fmt_word(gen.cod)}")
     for name, dia in doc.diagrams.items():
         lines.append(f"dia {name} = {print_term(dia)}")
-    for name, lhs, rhs in doc.signature.equations:
-        lines.append(f"rule {name} : {print_term(lhs)} = {print_term(rhs)}")
+    for rule in doc.signature.equations.values():
+        lines.append(f"rule {rule.name} : {print_term(rule.lhs)} = {print_term(rule.rhs)}")
     return "\n".join(lines) + "\n"

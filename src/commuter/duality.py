@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .core import MorGen, Signature
 from .dsl import Document, load_document, parse_term
-from .prover import ProofTrace, SearchBudget, prove_equal, rules_from_signature
+from .prover import ProofTrace, prove_equal, rules_from_signature
 
 THEOREMS = Path(__file__).parent / "theorems"
 
@@ -44,12 +44,12 @@ def load_theorem(name: str) -> Document:
     return load_document(THEOREMS / f"{name}.cmt")
 
 
-def prove_theorem(name: str, budget: SearchBudget = SearchBudget()) -> list[tuple[str, ProofTrace]]:
+def prove_theorem(name: str) -> list[tuple[str, ProofTrace]]:
     """Prove every goal of a theorem under its document's rules."""
     doc = load_theorem(name)
     rules = rules_from_signature(doc.signature)
     return [
-        (label, prove_equal(parse_term(lhs, doc), parse_term(rhs, doc), rules, budget))
+        (label, prove_equal(parse_term(lhs, doc), parse_term(rhs, doc), rules))
         for label, lhs, rhs in GOALS[name]
     ]
 
@@ -74,19 +74,19 @@ def theorem1_dual_signature() -> tuple[Signature, dict[str, MorGen]]:
     return _signature("theorem1_dual")
 
 
-def verify_theorem1(budget: SearchBudget = SearchBudget()) -> tuple[ProofTrace, ProofTrace]:
+def verify_theorem1() -> tuple[ProofTrace, ProofTrace]:
     """The traces of alpha.gamma = id(A X) and gamma.alpha = id(X A)."""
-    right, left = prove_theorem("theorem1", budget)
+    right, left = prove_theorem("theorem1")
     return right[1], left[1]
 
 
-def verify_theorem3(budget: SearchBudget = SearchBudget()) -> ProofTrace:
+def verify_theorem3() -> ProofTrace:
     """The trace of the unit/counit composite = a."""
-    ((_, trace),) = prove_theorem("theorem3", budget)
+    ((_, trace),) = prove_theorem("theorem3")
     return trace
 
 
-def theorem1_dual_inverse(budget: SearchBudget = SearchBudget()) -> tuple[ProofTrace, ProofTrace]:
+def theorem1_dual_inverse() -> tuple[ProofTrace, ProofTrace]:
     """The traces of b.delta = id(X B) and delta.b = id(B X)."""
-    right, left = prove_theorem("theorem1_dual", budget)
+    right, left = prove_theorem("theorem1_dual")
     return right[1], left[1]

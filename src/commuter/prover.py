@@ -20,44 +20,10 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 
+from .core import BACKWARD, FORWARD, MAX_RULE_SLICES, RewriteRule  # re-exported for callers of the prover
 from .core import Diagram, MorGen, Slice, boundaries, codomain, fmt_word, gen_diagram, intermediate_words
 from .errors import MatchInvalidError, SearchExhausted, SignatureError, TypingError
 from .exchange import Key, SwapClass, decode, interchange_equal, ranking
-
-FORWARD = "forward"
-BACKWARD = "backward"
-
-MAX_RULE_SLICES = 6
-
-
-@dataclass(frozen=True, slots=True)
-class RewriteRule:
-    """A named equation; the prover uses it in both orientations."""
-
-    name: str
-    lhs: Diagram
-    rhs: Diagram
-
-    def __post_init__(self):
-        if boundaries(self.lhs) != boundaries(self.rhs):
-            raise TypingError(
-                f"rule {self.name}: sides have different boundaries: "
-                f"{fmt_word(self.lhs.input)} -> {fmt_word(codomain(self.lhs))} vs "
-                f"{fmt_word(self.rhs.input)} -> {fmt_word(codomain(self.rhs))}"
-            )
-        for side in (self.lhs, self.rhs):
-            if len(side.slices) > MAX_RULE_SLICES:
-                raise ValueError(
-                    f"rule {self.name}: side has {len(side.slices)} slices, "
-                    f"limit is {MAX_RULE_SLICES}"
-                )
-
-    def side(self, direction: str) -> Diagram:
-        """The side that gets matched when applying in ``direction``."""
-        return self.lhs if direction == FORWARD else self.rhs
-
-    def other(self, direction: str) -> Diagram:
-        return self.rhs if direction == FORWARD else self.lhs
 
 
 @dataclass(frozen=True, slots=True)
@@ -319,5 +285,5 @@ def _inverted(edge: _Edge) -> ProofStep:
 
 
 def rules_from_signature(sig) -> list[RewriteRule]:
-    """Wrap a signature's named equations as rewrite rules."""
-    return [RewriteRule(name, lhs, rhs) for name, lhs, rhs in sig.equations]
+    """A signature's rules, in declaration order."""
+    return list(sig.equations.values())

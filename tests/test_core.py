@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from commuter.core import (
+    MAX_RULE_SLICES,
     Diagram,
     MorGen,
     Signature,
@@ -143,9 +144,15 @@ def test_signature_equation_boundary_check():
     sig = Signature()
     sig.add_object("X")
     f = sig.add_morphism("f", ("X",), ("X",))
-    sig.add_equation("ok", gen_diagram(f), identity(("X",)))
+    kept = sig.add_equation("ok", gen_diagram(f), identity(("X",)))
     with pytest.raises(TypingError):
         sig.add_equation("bad", gen_diagram(f), identity(("X", "X")))
+    long_side = identity(("X",))
+    for _ in range(MAX_RULE_SLICES + 1):
+        long_side = compose(long_side, gen_diagram(f))
+    with pytest.raises(ValueError):
+        sig.add_equation("too_long", long_side, identity(("X",)))
+    assert sig.equations == {"ok": kept}
 
 
 def test_check_diagram_requires_declared_generators():

@@ -114,9 +114,9 @@ def test_monoid_fixture_shapes():
     assert (m.dom, m.cod) == (("U", "U"), ("U",))
     assert (u.dom, u.cod) == ((), ("U",))
     assert set(doc.diagrams) == {"mm_left", "mm_right", "padded"}
-    rules = {name: (lhs, rhs) for name, lhs, rhs in doc.signature.equations}
+    rules = doc.signature.equations
     assert set(rules) == {"unit_left", "unit_right"}
-    assert rules["unit_left"][1] == identity(("U",))
+    assert rules["unit_left"].rhs == identity(("U",))
 
 
 # ------------------------------------------------------------ statement rules

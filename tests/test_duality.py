@@ -23,7 +23,8 @@ def docs():
 
 
 def rule(doc, name):
-    return {n: (lhs, rhs) for n, lhs, rhs in doc.signature.equations}[name]
+    r = doc.signature.equations[name]
+    return r.lhs, r.rhs
 
 
 def placed(d):
@@ -49,7 +50,7 @@ def test_declare_duality_registers_rules(docs):
         sig = doc.signature
         assert (sig.morphisms["eta"].dom, sig.morphisms["eta"].cod) == ((), ("B", "A"))
         assert (sig.morphisms["eps"].dom, sig.morphisms["eps"].cod) == (("A", "B"), ())
-        assert [name for name, _, _ in sig.equations[:2]] == ["triangle_A", "triangle_B"]
+        assert list(sig.equations)[:2] == ["triangle_A", "triangle_B"]
 
 
 # ---------------------------------------------------------------- structures
@@ -129,7 +130,7 @@ def test_theorem3_expression_shape(docs):
 
 def test_theorem3_signature_rule_names():
     sig, _ = theorem3_signature()
-    assert [name for name, _, _ in sig.equations] == [
+    assert list(sig.equations) == [
         "triangle_A", "triangle_B", "b_inv_left", "b_inv_right",
         "eta_cosquare", "eps_cosquare",
     ]
@@ -139,7 +140,7 @@ def test_verify_theorem3_trace():
     sig, _ = theorem3_signature()
     trace = verify_theorem3()
     assert 0 < len(trace.steps) <= 4
-    allowed = {name for name, _, _ in sig.equations}
+    allowed = set(sig.equations)
     assert {s.rule for s in trace.steps} <= allowed
     assert replay(trace, rules_from_signature(sig))
 
@@ -156,7 +157,7 @@ def test_theorem1_dual_inverse_traces():
     sig, gens = theorem1_dual_signature()
     rules = rules_from_signature(sig)
     trace_right, trace_left = theorem1_dual_inverse()
-    allowed = {name for name, _, _ in sig.equations}
+    allowed = set(sig.equations)
     assert "binv" not in gens
     assert allowed == {"triangle_A", "triangle_B", "eta_cosquare", "eps_cosquare"}
     for trace in (trace_right, trace_left):

@@ -85,6 +85,13 @@ def test_rule_side_slice_limit(sound_sig):
         RewriteRule("too_long", long_side, identity(("P", "P")))
 
 
+def test_rules_from_signature_are_the_signature_records(th1):
+    sig, _, _ = th1
+    rules = rules_from_signature(sig)
+    assert [r.name for r in rules] == list(sig.equations)
+    assert all(r is sig.equations[r.name] for r in rules)
+
+
 def test_rule_side_selection(th1):
     _, _, rules = th1
     r = rules["triangle_A"]
