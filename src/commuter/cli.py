@@ -1,8 +1,8 @@
 """The commuter command line.
 
 Subcommands cover every engine: check and normalize for .cmt files, prove
-for user equations, theorem1/theorem3 for the built-in drivers, finset and
-matrix for the two concrete models.
+for user equations, theorem1/theorem3 for the built-in drivers (theorem3
+also proves theorem1_dual), finset and matrix for the two concrete models.
 
 Exit codes: 0 success, 1 failed check or disproof, 2 budget exhausted,
 3 usage or parse error.  A reader that closes stdout early ends the output,
@@ -38,6 +38,7 @@ EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_BUDGET = 2
 EXIT_USAGE = 3
+_STATUS = {EXIT_OK: "ok", EXIT_FAILED: "failed", EXIT_BUDGET: "budget", EXIT_USAGE: "usage"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -88,42 +89,35 @@ class Output:
         code = "32" if good else "31"
         return f"\x1b[{code}m{word}\x1b[0m"
 
-    def status(self, status: str, exit_code: int) -> int:
-        self.emit({"record": "status", "status": status, "exit": exit_code})
+    def status(self, exit_code: int) -> int:
+        self.emit({"record": "status", "status": _STATUS[exit_code], "exit": exit_code})
         return exit_code
 
 
-def _trace_steps(trace: ProofTrace) -> list[dict]:
-    steps = []
-    for step in trace.steps:
-        m = step.match
-        steps.append(
-            {
-                "rule": step.rule,
-                "direction": step.direction,
-                "start": m.start,
-                "end": m.end,
-                "whisker": m.whisker_left,
-            }
-        )
-    return steps
-
-
 def _print_trace(out: Output, label: str, trace: ProofTrace) -> None:
-    n = len(trace.steps)
+    steps = [
+        {
+            "rule": step.rule,
+            "direction": step.direction,
+            "start": step.match.start,
+            "end": step.match.end,
+            "whisker": step.match.whisker_left,
+        }
+        for step in trace.steps
+    ]
+    n = len(steps)
     out.text(f"{label}: {n} step{'s' if n != 1 else ''}")
-    for k, step in enumerate(trace.steps, start=1):
-        m = step.match
+    for k, s in enumerate(steps, start=1):
         out.text(
-            f"  {k}. {step.rule} {step.direction} @ slices[{m.start}..{m.end}] "
-            f"whisker {m.whisker_left}"
+            f"  {k}. {s['rule']} {s['direction']} @ slices[{s['start']}..{s['end']}] "
+            f"whisker {s['whisker']}"
         )
     out.emit(
         {
             "record": "trace",
             "goal": label,
             "input": fmt_word(trace.start.input),
-            "steps": _trace_steps(trace),
+            "steps": steps,
             "length": n,
         }
     )
@@ -148,7 +142,7 @@ def _residual_report(out: Output, command: str, report) -> int:
             "ok": report.ok,
         }
     )
-    return out.status("ok" if report.ok else "failed", EXIT_OK if report.ok else EXIT_FAILED)
+    return out.status(EXIT_OK if report.ok else EXIT_FAILED)
 
 
 # ---------------------------------------------------------------- commands
@@ -185,7 +179,7 @@ def cmd_check(args, out: Output) -> int:
             "rules": len(sig.equations),
         }
     )
-    return out.status("ok", EXIT_OK)
+    return out.status(EXIT_OK)
 
 
 def _load_terms(args) -> tuple[Document, Diagram, Diagram | None]:
@@ -211,12 +205,12 @@ def cmd_normalize(args, out: Output) -> int:
         }
     )
     if rhs is None:
-        return out.status("ok", EXIT_OK)
+        return out.status(EXIT_OK)
     equal = rhs in cls
     verdict = "equal" if equal else "not equal"
     out.text(f"comparison: {out.mark(verdict, equal)} (up to slice interchange)")
     out.emit({"record": "comparison", "equal": equal})
-    return out.status("ok" if equal else "failed", EXIT_OK if equal else EXIT_FAILED)
+    return out.status(EXIT_OK if equal else EXIT_FAILED)
 
 
 def cmd_prove(args, out: Output) -> int:
@@ -224,7 +218,7 @@ def cmd_prove(args, out: Output) -> int:
     if boundaries(lhs) != boundaries(rhs):
         out.text("not equal: boundaries differ")
         out.emit({"record": "comparison", "equal": False, "reason": "boundaries"})
-        return out.status("failed", EXIT_FAILED)
+        return out.status(EXIT_FAILED)
     rules = rules_from_signature(doc.signature)
     budget = SearchBudget(max_depth_per_side=args.max_depth, max_nodes=args.max_nodes)
     try:
@@ -232,24 +226,16 @@ def cmd_prove(args, out: Output) -> int:
     except SearchExhausted as e:
         out.text(f"budget exhausted: {e}")
         out.emit({"record": "budget", "stats": e.stats()})
-        return out.status("budget", EXIT_BUDGET)
+        return out.status(EXIT_BUDGET)
     _print_trace(out, f"{args.lhs} = {args.rhs}", trace)
-    return out.status("ok", EXIT_OK)
+    return out.status(EXIT_OK)
 
 
-def _print_theorems(out: Output, *names: str) -> int:
-    for name in names:
+def cmd_theorems(args, out: Output) -> int:
+    for name in args.theorems:
         for label, trace in prove_theorem(name):
             _print_trace(out, label, trace)
-    return out.status("ok", EXIT_OK)
-
-
-def cmd_theorem1(args, out: Output) -> int:
-    return _print_theorems(out, "theorem1")
-
-
-def cmd_theorem3(args, out: Output) -> int:
-    return _print_theorems(out, "theorem3", "theorem1_dual")
+    return out.status(EXIT_OK)
 
 
 def cmd_finset_atom(args, out: Output) -> int:
@@ -258,11 +244,9 @@ def cmd_finset_atom(args, out: Output) -> int:
     for j, (ok, (dom, cod)) in enumerate(zip(report.bijective, report.sizes)):
         out.text(f"  |J| = {j}: {dom} -> {cod}  bijection: {'yes' if ok else 'no'}")
     out.text(f"  retract of 1: {'yes' if report.retract else 'no'}")
-    if report.consistent:
-        out.text(f"  verdict: {out.mark('ok', True)}")
-    else:
-        first = report.failures()[0]
-        out.text(f"  verdict: {out.mark('FAILED', False)} (first failure at |J| = {first})")
+    ok = report.consistent
+    first = "" if ok else f" (first failure at |J| = {report.failures()[0]})"
+    out.text(f"  verdict: {out.mark('ok' if ok else 'FAILED', ok)}{first}")
     out.emit(
         {
             "record": "report",
@@ -272,13 +256,10 @@ def cmd_finset_atom(args, out: Output) -> int:
             "bijective": list(report.bijective),
             "sizes": [list(s) for s in report.sizes],
             "retract": report.retract,
-            "consistent": report.consistent,
+            "consistent": ok,
         }
     )
-    return out.status(
-        "ok" if report.consistent else "failed",
-        EXIT_OK if report.consistent else EXIT_FAILED,
-    )
+    return out.status(EXIT_OK if ok else EXIT_FAILED)
 
 
 def cmd_finset_copower(args, out: Output) -> int:
@@ -307,7 +288,7 @@ def cmd_finset_copower(args, out: Output) -> int:
             "bijective": ok,
         }
     )
-    return out.status("ok" if ok else "failed", EXIT_OK if ok else EXIT_FAILED)
+    return out.status(EXIT_OK if ok else EXIT_FAILED)
 
 
 def _int_at_least(low: int, name: str):
@@ -332,25 +313,14 @@ def _parse_dims(text: str) -> tuple[int, int]:
     parts = text.split(",")
     if len(parts) != 2:
         raise ValueError
-    a, b = (int(p) for p in parts)
-    if a < 1 or b < 1:
-        raise ValueError
-    return a, b
+    return tuple(_positive_int(p) for p in parts)
 
 
 _parse_dims.__name__ = "dims"  # argparse embeds the converter name in errors
 
 
-def cmd_matrix_theorem1(args, out: Output) -> int:
-    da, dx = args.dims
-    report = check_theorem1_numeric(da, dx, args.seed)
-    return _residual_report(out, "matrix-theorem1", report)
-
-
-def cmd_matrix_theorem3(args, out: Output) -> int:
-    dn, dx = args.dims
-    report = check_theorem3_numeric(dn, dx)
-    return _residual_report(out, "matrix-theorem3", report)
+def cmd_matrix(args, out: Output) -> int:
+    return _residual_report(out, f"matrix-{args.matrix_command}", args.check(args))
 
 
 # ---------------------------------------------------------------- wiring
@@ -384,10 +354,10 @@ def build_parser() -> _Parser:
     p.set_defaults(run=cmd_prove)
 
     p = sub.add_parser("theorem1", help="inverse of a commutation map, both sides")
-    p.set_defaults(run=cmd_theorem1)
+    p.set_defaults(run=cmd_theorems, theorems=("theorem1",))
 
     p = sub.add_parser("theorem3", help="co-variant composite plus the dualized inverse check")
-    p.set_defaults(run=cmd_theorem3)
+    p.set_defaults(run=cmd_theorems, theorems=("theorem3", "theorem1_dual"))
 
     p = sub.add_parser("finset", help="finite-set model checks")
     fs = p.add_subparsers(dest="finset_command", required=True, metavar="check")
@@ -408,10 +378,10 @@ def build_parser() -> _Parser:
     q = mx.add_parser("theorem1", help="random alpha, mate, inverse residuals")
     q.add_argument("--dims", type=_parse_dims, default=(2, 2), metavar="A,X")
     q.add_argument("--seed", type=int, default=42)
-    q.set_defaults(run=cmd_matrix_theorem1)
+    q.set_defaults(run=cmd_matrix, check=lambda a: check_theorem1_numeric(*a.dims, a.seed))
     q = mx.add_parser("theorem3", help="flip instantiation, exact residuals")
     q.add_argument("--dims", type=_parse_dims, default=(2, 2), metavar="N,X")
-    q.set_defaults(run=cmd_matrix_theorem3)
+    q.set_defaults(run=cmd_matrix, check=lambda a: check_theorem3_numeric(*a.dims))
 
     return parser
 
@@ -438,13 +408,13 @@ def _run(argv: list[str] | None) -> int:
         return args.run(args, out)
     except (SearchExhausted, BudgetError) as e:
         print(f"commuter: budget exhausted: {e}", file=sys.stderr)
-        return out.status("budget", EXIT_BUDGET)
+        return out.status(EXIT_BUDGET)
     except NumericError as e:
         print(f"commuter: numeric check failed: {e}", file=sys.stderr)
-        return out.status("failed", EXIT_FAILED)
+        return out.status(EXIT_FAILED)
     except CommuterError as e:
         print(f"commuter: {type(e).__name__}: {e}", file=sys.stderr)
-        return out.status("usage", EXIT_USAGE)
+        return out.status(EXIT_USAGE)
 
 
 if __name__ == "__main__":

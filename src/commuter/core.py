@@ -202,17 +202,13 @@ class Signature:
     equations: dict[str, RewriteRule] = field(default_factory=dict)
 
     def add_object(self, name: str) -> ObjectGen:
-        _check_name(name)
-        if name in self.objects or name in self.morphisms:
-            raise SignatureError(f"duplicate name: {name}")
+        self._check_name(name)
         obj = ObjectGen(name)
         self.objects[name] = obj
         return obj
 
     def add_morphism(self, name: str, dom: Word, cod: Word) -> MorGen:
-        _check_name(name)
-        if name in self.morphisms or name in self.objects:
-            raise SignatureError(f"duplicate name: {name}")
+        self._check_name(name)
         self.check_word(dom)
         self.check_word(cod)
         gen = MorGen(name, tuple(dom), tuple(cod), index=len(self.morphisms))
@@ -222,12 +218,21 @@ class Signature:
     def add_equation(self, name: str, lhs: Diagram, rhs: Diagram) -> RewriteRule:
         """Check both sides against the signature, then store them as a rule
         (whose record checks boundaries and MAX_RULE_SLICES)."""
-        if name in self.equations:
-            raise SignatureError(f"duplicate equation name: {name}")
+        self._check_name(name)
         self.check_diagram(lhs)
         self.check_diagram(rhs)
         rule = self.equations[name] = RewriteRule(name, lhs, rhs)
         return rule
+
+    def _check_name(self, name: str) -> None:
+        """One namespace for objects, generators and rules, so a printed
+        signature reloads."""
+        if not NAME_RE.fullmatch(name):
+            raise SignatureError(f"bad name: {name!r}")
+        if name in self.equations:
+            raise SignatureError(f"duplicate equation name: {name}")
+        if name in self.objects or name in self.morphisms:
+            raise SignatureError(f"duplicate name: {name}")
 
     def check_word(self, w: Word) -> None:
         for name in w:
@@ -250,8 +255,3 @@ class Signature:
     def identity(self, w: Word) -> Diagram:
         self.check_word(tuple(w))
         return identity(tuple(w))
-
-
-def _check_name(name: str) -> None:
-    if not NAME_RE.fullmatch(name):
-        raise SignatureError(f"bad name: {name!r}")

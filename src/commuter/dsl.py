@@ -254,10 +254,6 @@ def load_document(path: str) -> Document:
 
 # ------------------------------------------------------------ pretty printer
 
-def print_word(w: Word) -> str:
-    return fmt_word(w)
-
-
 def print_term(d: Diagram) -> str:
     """One whiskered generator per slice, composed right to left.
 

@@ -43,9 +43,7 @@ def random_diagram(
         if not options:
             break
         name, offset = options[rng.randrange(len(options))]
-        gen = sig.morphisms[name]
-        slices.append(Slice(offset, gen))
-        current = current[:offset] + gen.cod + current[offset + len(gen.dom):]
-    d = Diagram(word, tuple(slices))
-    assert codomain(d) == current
-    return d
+        step = Slice(offset, sig.morphisms[name])
+        slices.append(step)
+        current = codomain(Diagram(current, (step,)))
+    return Diagram(word, tuple(slices))

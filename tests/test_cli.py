@@ -447,23 +447,84 @@ def test_structured_mode_suppresses_text(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, want",
     [
-        ("theorem1",),
-        ("theorem3",),
-        ("check", "--file", THEOREM1),
-        ("finset", "atom", "--d", "1"),
-        ("finset", "copower", "--s", "2", "--j", "2", "--c", "2"),
-        ("matrix", "theorem1", "--dims", "2,2", "--seed", "43"),
-        ("matrix", "theorem3", "--dims", "2,2"),
+        (("theorem1",), None),
+        (("theorem3",), None),
+        (("check", "--file", THEOREM1), None),
+        (("finset", "atom", "--d", "1"), None),
+        (("finset", "copower", "--s", "2", "--j", "2", "--c", "2"), None),
+        (("matrix", "theorem1", "--dims", "2,2", "--seed", "43"), None),
+        (
+            ("matrix", "theorem3", "--dims", "2,2"),
+            [
+                {
+                    "record": "report", "command": "matrix-theorem3",
+                    "dims": {"A": 2, "B": 2, "X": 2}, "seed": None,
+                    "residuals": dict.fromkeys(
+                        ("binv_left", "binv_right", "composite_vs_flip",
+                         "expression_vs_action", "zigzag_A", "zigzag_B"),
+                        0.0,
+                    ),
+                    "tolerance": 1e-12, "ok": True,
+                },
+                {"record": "status", "status": "ok", "exit": 0},
+            ],
+        ),
+        (
+            ("check", "--file", MONOID),
+            [
+                {"record": "summary", "objects": ["U"], "generators": 2, "diagrams": 3, "rules": 2},
+                {"record": "status", "status": "ok", "exit": 0},
+            ],
+        ),
+        (
+            ("finset", "atom", "--d", "2"),
+            [
+                {
+                    "record": "report", "command": "finset-atom", "d": 2, "max_j": 4,
+                    "bijective": [True, True, False, False, False],
+                    "sizes": [[0, 0], [1, 1], [2, 4], [3, 9], [4, 16]],
+                    "retract": False, "consistent": False,
+                },
+                {"record": "status", "status": "failed", "exit": 1},
+            ],
+        ),
+        (
+            ("finset", "copower", "--power", "2", "--j", "2", "--c", "1"),
+            [
+                {
+                    "record": "report", "command": "finset-copower", "functor": "power 2",
+                    "j": 2, "c": 1, "dom": 2, "cod": 4, "bijective": False,
+                },
+                {"record": "status", "status": "failed", "exit": 1},
+            ],
+        ),
+        (
+            ("prove", "--file", MONOID, "--lhs", "mm_left", "--rhs", "mm_right",
+             "--max-depth", "2", "--max-nodes", "200"),
+            [
+                {
+                    "record": "budget",
+                    "stats": {
+                        "nodes": 162, "depth_left": 2, "depth_right": 2,
+                        "frontier_left": 70, "frontier_right": 70,
+                    },
+                },
+                {"record": "status", "status": "budget", "exit": 2},
+            ],
+        ),
     ],
+    ids=[f"argv{i}" for i in range(11)],  # independent of ``want``, so pinning a record renames no case
 )
-def test_structured_status_matches_exit(capsys, argv):
+def test_structured_status_matches_exit(capsys, argv, want):
     code, out, err = run(capsys, "--format", "structured", *argv)
     records = parse_records(out)
     assert records[0]["record"] == "header"
     assert records[-1]["record"] == "status"
     assert records[-1]["exit"] == code
+    if want is not None:
+        assert records[1:] == want
 
 
 # ------------------------------------------------------------- closed stdout

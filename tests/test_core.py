@@ -138,6 +138,15 @@ def test_signature_rejects_duplicates_and_unknown_objects():
         sig.add_morphism("f", ("X",), ("X",))
     with pytest.raises(SignatureError):
         sig.add_morphism("g", ("Y",), ("X",))
+    # rules share the one namespace and name rule, so a printed signature reloads
+    kept = sig.add_equation("r", identity(("X",)), identity(("X",)))
+    for name in ("X", "f", "bad name"):
+        with pytest.raises(SignatureError):
+            sig.add_equation(name, identity(("X",)), identity(("X",)))
+    with pytest.raises(SignatureError):
+        sig.add_morphism("r", ("X",), ("X",))
+    assert sig.equations == {"r": kept}
+    assert list(sig.morphisms) == ["f"]
 
 
 def test_signature_equation_boundary_check():

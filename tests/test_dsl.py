@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import FIXTURES, THEOREMS
 
-from commuter.core import Diagram, Slice, compose, gen_diagram, identity, tensor
+from commuter.core import Diagram, Slice, compose, fmt_word, gen_diagram, identity, tensor
 from commuter.dsl import (
     MAX_TERM_DEPTH,
     Document,
@@ -15,7 +15,6 @@ from commuter.dsl import (
     parse_term,
     print_document,
     print_term,
-    print_word,
     tokenize,
 )
 from commuter.errors import CommuterError, ParseError, TypingError
@@ -174,7 +173,7 @@ def test_parse_rule_boundary_mismatch_points_at_equals():
 def test_parse_unit_word_and_empty_identity():
     doc = parse_document("obj X\ndia nothing = id 1")
     assert doc.diagrams["nothing"] == identity(())
-    assert print_word(()) == "1"
+    assert fmt_word(()) == "1"
 
 
 # ------------------------------------------------------------ fixture errors
