@@ -1,7 +1,9 @@
-"""Finite-set semantics, computed by exhaustive enumeration.
+"""Finite-set semantics, computed on explicit lookup tables.
 
-Sets are {0, .., n-1}; maps are lookup tables.  Encodings are fixed so that
-results are reproducible integers:
+Sets are {0, .., n-1}; maps are lookup tables.  A functor acts on a whole
+stack of tables at once by numpy index arithmetic, so the copower comparison
+map is built in one pass; the atom and transpose checks enumerate maps.
+Encodings are fixed so that results are reproducible integers:
 
 * pairs over a copy index j0 and an element c0 (products J x C and coproducts
   of J copies of C alike) encode as ``j0 * |C| + c0``;
@@ -18,6 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as iproduct
+
+import numpy as np
 
 from .errors import SizeError, TypingError
 
@@ -48,9 +52,9 @@ class FinSetMap:
             raise TypingError(
                 f"table has {len(self.table)} entries for a domain of size {self.dom.size}"
             )
-        for v in self.table:
-            if not 0 <= v < self.cod.size:
-                raise TypingError(f"table value {v} outside codomain of size {self.cod.size}")
+        if self.table and (min(self.table) < 0 or max(self.table) >= self.cod.size):
+            v = next(v for v in self.table if not 0 <= v < self.cod.size)
+            raise TypingError(f"table value {v} outside codomain of size {self.cod.size}")
 
     def __call__(self, x: int) -> int:
         return self.table[x]
@@ -161,55 +165,61 @@ def decode_power(code: int, base: int, length: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def eval_map(expr: FunctorExpr, f: FinSetMap) -> FinSetMap:
+def _eval_tables(expr: FunctorExpr, tables: np.ndarray, dom: int, cod: int) -> np.ndarray:
+    """F applied to each row of a (k, dom) int64 stack of maps dom -> cod.
+
+    Returns the (k, |F(dom)|) stack of the maps F(dom) -> F(cod).  The
+    caller has sized F(dom) and F(cod) with eval_obj, so every SIZE_LIMIT
+    refusal comes before this allocates, and entries stay below 10^6.
+    """
     match expr:
         case Id():
-            return f
+            return tables
         case TimesS(n) | CoprodJ(n):
-            dom = eval_obj(expr, f.dom)
-            cod = eval_obj(expr, f.cod)
-            table = tuple(
-                n0 * f.cod.size + f.table[c0]
-                for n0 in range(n)
-                for c0 in range(f.dom.size)
-            )
-            return FinSetMap(dom, cod, table)
+            # copy n0 of x is n0 * |X| + x on both sides; with dom empty no
+            # copy has an entry, whatever n is
+            shifts = np.arange(n if dom else 0) * cod
+            return (shifts[:, None] + tables[:, None, :]).reshape(len(tables), n * dom)
         case PowerS(s):
-            dom = eval_obj(expr, f.dom)
-            cod = eval_obj(expr, f.cod)
-            table = []
-            for code in range(dom.size):
-                values = decode_power(code, max(f.dom.size, 1), s)
-                table.append(encode_power(tuple(f.table[v] for v in values), f.cod.size))
-            return FinSetMap(dom, cod, tuple(table))
+            # a code's digits, little-endian in base |dom|, are mapped and
+            # re-encoded in base |cod|, one place at a time; into a set of at
+            # most one element every function encodes as 0, whatever s is
+            codes = np.arange(dom**s)
+            out = np.zeros((len(tables), len(codes)), np.int64)
+            base = max(dom, 1)
+            for place in range(s if cod > 1 else 0):
+                out += tables[:, codes // base**place % base] * cod**place
+            return out
         case Compose(outer, inner):
-            return eval_map(outer, eval_map(inner, f))
+            inner_tables = _eval_tables(inner, tables, dom, cod)
+            inner_dom = eval_obj(inner, FinSetObj(dom)).size
+            return _eval_tables(outer, inner_tables, inner_dom, eval_obj(inner, FinSetObj(cod)).size)
     raise TypeError(f"not a functor expression: {expr!r}")
 
 
-def inclusion(j0: int, j: int, c: FinSetObj) -> FinSetMap:
-    """The j0-th coprojection C -> (j copies of C)."""
-    if not 0 <= j0 < j:
-        raise ValueError(f"copy index {j0} outside range({j})")
-    cop = FinSetObj(j * c.size)
-    return FinSetMap(c, cop, tuple(j0 * c.size + c0 for c0 in range(c.size)))
+def eval_map(expr: FunctorExpr, f: FinSetMap) -> FinSetMap:
+    dom = eval_obj(expr, f.dom)
+    cod = eval_obj(expr, f.cod)
+    table = _eval_tables(expr, np.array([f.table], np.int64), f.dom.size, f.cod.size)
+    return FinSetMap(dom, cod, tuple(table[0].tolist()))
 
 
 def canonical_alpha(expr: FunctorExpr, j: int, c: FinSetObj) -> FinSetMap:
     """The comparison map from j copies of F(C) to F(j copies of C).
 
-    On the j0-th copy it acts as F applied to the j0-th coprojection.
+    On the j0-th copy it acts as F applied to the j0-th coprojection
+    c0 |-> j0 * |C| + c0; all j coprojections go through F as one stack.
     Bijective whenever F preserves coproducts of j copies; the power
     functors fail this in general.
     """
     fc = eval_obj(expr, c)
     cod = eval_obj(expr, FinSetObj(j * c.size))
     dom = FinSetObj(j * fc.size)
-    table: list[int] = []
-    for j0 in range(j):
-        leg = eval_map(expr, inclusion(j0, j, c))
-        table.extend(leg.table)
-    return FinSetMap(dom, cod, tuple(table))
+    # with F(C) empty no copy has an entry, so an unbounded j stacks no rows
+    rows = j if fc.size else 0
+    coprojections = np.arange(rows * c.size).reshape(rows, c.size)
+    table = _eval_tables(expr, coprojections, c.size, j * c.size)
+    return FinSetMap(dom, cod, tuple(table.ravel().tolist()))
 
 
 def strength_map(j: FinSetObj, y: FinSetObj, d: FinSetObj) -> FinSetMap:

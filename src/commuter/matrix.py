@@ -59,9 +59,8 @@ def flip(p: int, q: int) -> np.ndarray:
     if p * q > DIM_LIMIT:
         raise SizeError(f"flip of dimension {p * q} exceeds limit {DIM_LIMIT}")
     out = np.zeros((p * q, p * q))
-    for i in range(p):
-        for j in range(q):
-            out[j * p + i, i * q + j] = 1.0
+    col = np.arange(p * q)  # the pair (i, j) = divmod(col, q)
+    out[col % q * p + col // q, col] = 1.0
     return out
 
 
@@ -74,8 +73,7 @@ def dual_pair(n: int) -> tuple[np.ndarray, np.ndarray]:
     if n * n > DIM_LIMIT:
         raise SizeError(f"dual pair of dimension {n * n} exceeds limit {DIM_LIMIT}")
     eta = np.zeros((n * n, 1))
-    for i in range(n):
-        eta[i * n + i, 0] = 1.0
+    eta[:: n + 1] = 1.0  # rows i * n + i
     return eta, eta.T.copy()
 
 
@@ -105,8 +103,11 @@ class ModelAssignment:
 def eval_diagram(d: Diagram, model: ModelAssignment) -> np.ndarray:
     """Fold the slices bottom-up; returns the matrix of the composite.
 
-    Every step is checked before the first one is built, so a diagram that
-    passes DIM_LIMIT anywhere is refused without allocating.
+    A slice acts as I_left (x) g (x) I_right without building that block:
+    the running matrix, reshaped to (left, dom, right * cols), is contracted
+    with g by one batched matmul.  Every step is checked against DIM_LIMIT on
+    the shape of the I (x) g (x) I block before anything is allocated, so a
+    diagram that passes the limit anywhere is refused without allocating.
     """
     words = intermediate_words(d)
     dim_in = model.dim_word(d.input)
@@ -127,7 +128,8 @@ def eval_diagram(d: Diagram, model: ModelAssignment) -> np.ndarray:
         steps.append((left, g, right))
     total = eye(dim_in)
     for left, g, right in steps:
-        total = kron(eye(left), g, eye(right)) @ total
+        cod, dom = g.shape
+        total = np.matmul(g, total.reshape(left, dom, right * dim_in)).reshape(left * cod * right, dim_in)
     return total
 
 
@@ -135,11 +137,8 @@ def random_matrix(rows: int, cols: int, rng: Lcg) -> np.ndarray:
     """Entries drawn uniformly from [-1, 1)."""
     if rows > DIM_LIMIT or cols > DIM_LIMIT:
         raise SizeError(f"random matrix {rows}x{cols} exceeds limit {DIM_LIMIT}")
-    out = np.empty((rows, cols))
-    for r in range(rows):
-        for c in range(cols):
-            out[r, c] = rng.symmetric()
-    return out
+    # row-major, so the draws fill the matrix in the order they are taken
+    return np.array([rng.symmetric() for _ in range(rows * cols)]).reshape(rows, cols)
 
 
 def random_alpha(rows: int, cols: int, rng: Lcg) -> np.ndarray:

@@ -19,7 +19,6 @@ from commuter.finset import (
     eval_obj,
     hom_transpose_bijection,
     identity_map,
-    inclusion,
     natural_map_J_to_JD,
     projection,
     retract_of_one,
@@ -28,6 +27,8 @@ from commuter.finset import (
 from commuter.rng import Lcg
 
 SHAPES = (Id(), TimesS(2), PowerS(2), CoprodJ(3), Compose(TimesS(2), PowerS(2)))
+ATOMS = (Id(),) + tuple(cls(n) for cls in (TimesS, PowerS, CoprodJ) for n in range(4))
+DEPTH_TWO = ATOMS + tuple(Compose(outer, inner) for outer in ATOMS for inner in ATOMS)
 
 
 def random_map(dom: FinSetObj, cod: FinSetObj, rng: Lcg) -> FinSetMap:
@@ -42,6 +43,8 @@ def test_map_validation():
         FinSetMap(two, three, (0,))  # wrong table length
     with pytest.raises(TypingError):
         FinSetMap(two, three, (0, 3))  # value out of range
+    with pytest.raises(TypingError, match="^table value 5 outside codomain of size 3$"):
+        FinSetMap(two, three, (5, -1))  # the first bad value is named, not the least
     with pytest.raises(ValueError):
         FinSetObj(-1)
     with pytest.raises(SizeError):
@@ -136,6 +139,15 @@ def test_eval_map_empty_domain_power():
     assert m.table == ()
 
 
+def test_unbounded_parameters_on_empty_and_trivial_sets():
+    # each would take 10**12 steps if it walked its copies or places
+    assert canonical_alpha(TimesS(1), 10**12, FinSetObj(0)).table == ()
+    assert canonical_alpha(TimesS(10**12), 1, FinSetObj(0)).table == ()
+    assert canonical_alpha(PowerS(3), 10**21, FinSetObj(0)).table == ()
+    one = identity_map(FinSetObj(1))
+    assert eval_map(PowerS(10**12), one) == one
+
+
 @pytest.mark.parametrize("expr", SHAPES, ids=str)
 def test_functoriality(expr):
     rng = Lcg(7)
@@ -149,6 +161,80 @@ def test_functoriality(expr):
         assert eval_map(expr, compose_maps(f, g)) == compose_maps(
             eval_map(expr, f), eval_map(expr, g)
         )
+
+
+# ------------------------------------------------- element-by-element reference
+
+def reference_eval_map(expr, f: FinSetMap) -> FinSetMap:
+    """F(f) built one table entry at a time."""
+    match expr:
+        case Id():
+            return f
+        case TimesS(n) | CoprodJ(n):
+            table = tuple(n0 * f.cod.size + f.table[c0] for n0 in range(n) for c0 in range(f.dom.size))
+        case PowerS(s):
+            table = tuple(
+                encode_power(tuple(f.table[v] for v in decode_power(code, max(f.dom.size, 1), s)), f.cod.size)
+                for code in range(eval_obj(expr, f.dom).size)
+            )
+        case Compose(outer, inner):
+            return reference_eval_map(outer, reference_eval_map(inner, f))
+    return FinSetMap(eval_obj(expr, f.dom), eval_obj(expr, f.cod), table)
+
+
+def inclusion(j0: int, j: int, c: FinSetObj) -> FinSetMap:
+    """The j0-th coprojection C -> (j copies of C)."""
+    if not 0 <= j0 < j:
+        raise ValueError(f"copy index {j0} outside range({j})")
+    cop = FinSetObj(j * c.size)
+    return FinSetMap(c, cop, tuple(j0 * c.size + c0 for c0 in range(c.size)))
+
+
+def reference_alpha(expr, j: int, c: FinSetObj) -> FinSetMap:
+    """canonical_alpha as F applied to each coprojection in turn."""
+    fc = eval_obj(expr, c)
+    cod = eval_obj(expr, FinSetObj(j * c.size))
+    table: list[int] = []
+    for j0 in range(j):
+        table.extend(reference_eval_map(expr, inclusion(j0, j, c)).table)
+    return FinSetMap(FinSetObj(j * fc.size), cod, tuple(table))
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except SizeError as e:
+        return str(e)
+
+
+def assert_same_map(got, want) -> bool:
+    """Equal maps, or the same refusal; True when a map was built."""
+    assert got == want
+    if isinstance(got, str):
+        return False
+    assert type(got.table) is tuple and all(type(v) is int for v in got.table)
+    return True
+
+
+def test_tables_match_elementwise_reference():
+    # per pair of sizes: the cyclic map, its reversal and a constant
+    maps = [
+        FinSetMap(FinSetObj(dom), FinSetObj(cod), tuple(rule(d0) % cod for d0 in range(dom)))
+        for dom in range(4)
+        for cod in range(1 if dom else 0, 4)
+        for rule in (lambda d0: d0, lambda d0: dom - 1 - d0, lambda d0: cod - 1)
+    ]
+    built = 0
+    for expr in DEPTH_TWO:
+        for f in maps:
+            built += assert_same_map(outcome(eval_map, expr, f), outcome(reference_eval_map, expr, f))
+        for j in range(4):
+            for c in range(4):
+                c_obj = FinSetObj(c)
+                built += assert_same_map(
+                    outcome(canonical_alpha, expr, j, c_obj), outcome(reference_alpha, expr, j, c_obj)
+                )
+    assert built >= 10000  # nearly every case fits SIZE_LIMIT, so tables are compared, not only refusals
 
 
 # ---------------------------------------------------------------- comparisons

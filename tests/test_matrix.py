@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from commuter.core import Diagram, Slice, compose, gen_diagram, identity, tensor
+from commuter.core import Diagram, Slice, compose, gen_diagram, identity, intermediate_words, tensor
 from commuter.duality import load_theorem
 from commuter.errors import NumericError, SizeError, TypingError
 from commuter.exchange import adjacent_swap, canonicalize, linearizations, swappable
@@ -11,6 +11,7 @@ from commuter.matrix import (
     TOL_CHAIN,
     TOL_EXACT,
     ModelAssignment,
+    _check_kron,
     check_theorem1_numeric,
     check_theorem3_numeric,
     companion_gamma,
@@ -67,6 +68,34 @@ def test_dual_pair_zigzags_exact():
         zig_b = kron(eye(n), eps) @ kron(eta, eye(n))
         assert np.array_equal(zig_a, np.eye(n))  # exactly, not approximately
         assert np.array_equal(zig_b, np.eye(n))
+
+
+def test_constructors_match_elementwise_reference():
+    # seeded goldens depend on the order random_matrix takes its draws
+    for seed in (0, 1, 42, 99):
+        for rows, cols in ((0, 0), (0, 3), (1, 1), (2, 3), (3, 2), (4, 4)):
+            rng, ref_rng = Lcg(seed), Lcg(seed)
+            want = np.empty((rows, cols))
+            for r in range(rows):
+                for c in range(cols):
+                    want[r, c] = ref_rng.symmetric()
+            got = random_matrix(rows, cols, rng)
+            assert got.shape == (rows, cols) and got.dtype == want.dtype
+            assert np.array_equal(got, want)
+            assert rng.state == ref_rng.state
+    for p in range(4):
+        for q in range(4):
+            want = np.zeros((p * q, p * q))
+            for i in range(p):
+                for j in range(q):
+                    want[j * p + i, i * q + j] = 1.0
+            assert np.array_equal(flip(p, q), want)
+    for n in range(5):
+        want = np.zeros((n * n, 1))
+        for i in range(n):
+            want[i * n + i, 0] = 1.0
+        eta, eps = dual_pair(n)
+        assert np.array_equal(eta, want) and np.array_equal(eps, want.T)
 
 
 def test_require_condition():
@@ -157,9 +186,45 @@ def test_numeric_checks_refuse_oversize_dims_before_building(monkeypatch):
             check_theorem3_numeric(n, x)
 
 
-def fits_model(d, model):
-    from commuter.core import intermediate_words
+def kron_fold(d, model):
+    """The Kronecker-block evaluation: each slice as the explicit block
+    I_left (x) g (x) I_right, refused when the block passes DIM_LIMIT."""
+    words = intermediate_words(d)
+    total = np.eye(model.dim_word(d.input))
+    for k, s in enumerate(d.slices):
+        g = model.matrix(s.gen.name)
+        left = model.dim_word(words[k][: s.offset])
+        right = model.dim_word(words[k][s.offset + len(s.gen.dom):])
+        _check_kron(((left, left), g.shape, (right, right)))
+        total = np.kron(np.kron(np.eye(left), g), np.eye(right)) @ total
+    return total
 
+
+def test_eval_diagram_matches_kron_fold(model, monkeypatch):
+    def no_block(*mats):
+        raise AssertionError("eval_diagram built a Kronecker block")
+
+    monkeypatch.setattr("commuter.matrix.kron", no_block)
+    sig = soundness_signature()
+    rng = Lcg(20260818)  # the draw of test_engine_soundness_suite
+    evaluated = 0
+    for k in range(1000):
+        d = random_diagram(sig, rng, max_slices=6)
+        try:
+            want = kron_fold(d, model)
+        except SizeError:
+            with pytest.raises(SizeError):
+                eval_diagram(d, model)
+            continue
+        got = eval_diagram(d, model)
+        assert got.shape == want.shape
+        scale = max(1.0, float(np.max(np.abs(want), initial=0.0)))
+        assert float(np.max(np.abs(got - want), initial=0.0)) <= 1e-12 * scale, f"sample {k}"
+        evaluated += 1
+    assert evaluated >= 500
+
+
+def fits_model(d, model):
     try:
         for w in intermediate_words(d):
             model.dim_word(w)
