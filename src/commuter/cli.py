@@ -191,7 +191,7 @@ def _load_terms(args) -> tuple[Document, Diagram, Diagram | None]:
 
 def cmd_normalize(args, out: Output) -> int:
     _, lhs, rhs = _load_terms(args)
-    cls = SwapClass(lhs)  # walked once, for the canonical form and the comparison
+    cls = SwapClass(lhs)  # one class for the canonical form and the comparison
     canon = cls.least()
     out.text(f"input:     {print_term(lhs)}")
     out.text(f"canonical: {print_term(canon.diagram)}")

@@ -3,15 +3,16 @@
 Two consecutive slices commute exactly when the second slice's input block and
 the first slice's output block occupy disjoint wire intervals in the word
 between them (blocks that merely abut are disjoint).  Swapping them adjusts
-offsets for the wires the other slice added or removed.  The equivalence
-generated by these swaps is decided by exhausting the reachable class
-(breadth-first over single swaps) once per ``SwapClass``, which answers the
-class's least member under the per-slice key (offset, generator declaration
-index, name, domain, codomain), its members, and membership.  Swaps are
-reversible, so d2 is in d1's class exactly when their canonical forms are
-equal, and ``interchange_equal`` walks one class, not two.
+offsets for the wires the other slice added or removed.  A ``SwapClass``
+owns the equivalence class these swaps generate and answers its least member
+under the per-slice key (offset, generator declaration index, name, domain,
+codomain), its members, and membership.  Swaps are reversible, so d2 is in
+d1's class exactly when their canonical forms are equal, and
+``interchange_equal`` decides one class, not two.  A class is either walked
+(every member reached breadth-first over single swaps, once) or, in the case
+below, answered by a greedy normal form without visiting its members.
 
-The walk runs on flat integer keys.  A ``ranking`` orders generators by
+Both run on flat integer keys.  A ``ranking`` orders generators by
 (declaration index, name, domain, codomain), and a key writes a slice
 sequence as (offset_0, rank_0, offset_1, rank_1, ...): a swap is arithmetic
 on the ranks' domain and codomain lengths, and the visited set hashes ints.
@@ -21,26 +22,43 @@ as their slice sequences do under the per-slice key, and keys under one
 ranking compare directly: the proof search ranks once, and a node is its
 class's least key.  Slices and diagrams are built only for output.
 
-The exhaustive search is deliberate.  The class is not a trace monoid: when a
-slice deletes a wire, an insertion that happened next to that wire can end up
-with two different offsets in different members of the class, so "which
-slices can move to the front" depends on the representative, and the greedy
-Foata-style extraction misses members.  Exhaustion is exact and cheap at the
-diagram sizes this package manipulates (rule and theorem diagrams stay under
-eight slices); every enumeration stops with BudgetError once a class passes
-LINEARIZATION_CAP members, so no input gets unbounded time or memory.
+The greedy case.  When every generator the diagram uses has wires in and
+out (non-empty domain and codomain), an exchange never has two landings, so
+the class is the set of linear extensions of the data-flow order between
+slices, and Foata-style extraction (Cartier & Foata, 1969) gives its least
+key: repeatedly move to the front, among the remaining slices that can reach
+it by swaps, the one with the least offset.  A member is then exactly
+a diagram whose greedy form is the class's least key.  The greedy form
+serves classes of 3 to ``GREEDY_MAX_SLICES`` slices.  The upper bound is the
+most slices whose n! members stay within LINEARIZATION_CAP, so it answers
+only classes the walk could never refuse; below 3 slices a class has at most
+two members, and walking them costs less than the extraction.  Members, the
+class size, rule matching and rewrites still walk.
+
+The walk stays the only route when a generator has an empty boundary word.
+Such a class is not a trace monoid: when a slice deletes a wire, an insertion
+that happened next to that wire can end up with two different offsets in
+different members of the class, so "which slices can move to the front"
+depends on the representative, and the greedy extraction misses members.
+Every walk stops with BudgetError once a class passes LINEARIZATION_CAP
+members, so no input gets unbounded time or memory.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from itertools import count
+from math import factorial
 from operator import attrgetter
 
 from .core import Diagram, MorGen, Slice, Word, intermediate_words
 from .errors import BudgetError, NotSwappableError
 
 LINEARIZATION_CAP = 10_000
+# the most slices whose n! orders stay within the cap: the walk never refuses
+# a class this small, so answering it greedily refuses nothing new
+GREEDY_MAX_SLICES = next(n for n in count() if factorial(n + 1) > LINEARIZATION_CAP)
 
 
 def _swap_variants(
@@ -141,6 +159,42 @@ def _walk(start: Key, dom: list[int], cod: list[int]) -> dict[Key, tuple[int, ..
     return seen
 
 
+def _greedy(key: Key, dom: list[int], cod: list[int]) -> tuple[Key, tuple[int, ...]]:
+    """The least key reachable from ``key`` and its permutation: move to the
+    front, again and again, the remaining slice of least offset among those
+    that can swap their way there.
+
+    Exact when no rank has an empty domain or codomain.  Every exchange then
+    has one landing, and the slices that can reach the front read disjoint,
+    non-empty wire blocks there, so their offsets never tie and ranks need
+    no comparing.  Otherwise the first listed landing is taken, so the
+    result is still reachable from ``key``.
+    """
+    rest = list(zip(key[::2], key[1::2], range(len(key) // 2)))  # (offset, rank, position)
+    least: list[int] = []
+    perm = []
+    while rest:
+        front, first = rest[0][0], 0
+        for j in range(1, len(rest)):
+            lo, r, _ = rest[j]
+            for lo1, r1, _ in reversed(rest[:j]):
+                landings = _swap_variants(lo1, dom[r1], cod[r1], lo, dom[r], cod[r])
+                if not landings:
+                    break
+                lo = landings[0][0]
+            else:
+                if lo < front:
+                    front, first = lo, j
+        lo2, r, p = rest.pop(first)
+        for i in range(first - 1, -1, -1):  # the slices it passed take their new offsets
+            lo1, r1, p1 = rest[i]
+            lo2, new1 = _swap_variants(lo1, dom[r1], cod[r1], lo2, dom[r], cod[r])[0]
+            rest[i] = new1, r1, p1
+        least += front, r
+        perm.append(p)
+    return tuple(least), tuple(perm)
+
+
 @dataclass(frozen=True, slots=True)
 class CanonicalForm:
     """A canonical representative plus where each of its slices came from.
@@ -154,14 +208,15 @@ class CanonicalForm:
 
 
 class SwapClass:
-    """A diagram's interchange class, walked once.
+    """A diagram's interchange class, walked at most once.
 
     Ranks come from ``gens``, a ``ranking`` of d's generators and maybe more
     (by default, of d's alone).  Members stay keys until asked for: ``least``
     decodes the canonical form, iteration and ``member`` decode members in
     discovery order, and ``d in cls`` looks d's key up under the class's
-    ranks.  Raises BudgetError when a walked class has more than
-    LINEARIZATION_CAP members.
+    ranks.  A class the greedy form serves (see the module docstring) is
+    walked only when its members are needed; any other is walked here, and
+    raises BudgetError when it has more than LINEARIZATION_CAP members.
     """
 
     __slots__ = ("_d", "_gens", "_sizes", "_start", "_perms", "_keys", "_members", "_words")
@@ -171,7 +226,10 @@ class SwapClass:
         start = tuple([x for s in d.slices for x in (s.offset, gens.index(s.gen))])
         self._d, self._gens, self._start = d, gens, start
         self._sizes = doms, cods = [len(g.dom) for g in gens], [len(g.cod) for g in gens]
-        self._perms = _walk(start, doms, cods)
+        greedy = 3 <= len(d.slices) <= GREEDY_MAX_SLICES and all(
+            doms[r] and cods[r] for r in start[1::2]
+        )
+        self._perms = None if greedy else _walk(start, doms, cods)
         self._keys: list[Key] | None = None  # built, with the caches, on first indexed use
 
     def _key(self, d: Diagram, k: int = 0) -> Key | None:
@@ -193,30 +251,52 @@ class SwapClass:
         placed = zip(map(d.slices.__getitem__, perm), key[::2])
         return Diagram(d.input, tuple([s if s.offset == o else Slice(o, s.gen) for s, o in placed]))
 
+    def _walked(self) -> dict[Key, tuple[int, ...]]:
+        """Every member's key, mapped to its permutation; walks on first use."""
+        if self._perms is None:
+            self._perms = _walk(self._start, *self._sizes)
+        return self._perms
+
     def _index(self) -> list[Key]:
         if self._keys is None:
-            self._keys, self._members, self._words = list(self._perms), {}, {}
+            self._keys, self._members, self._words = list(self._walked()), {}, {}
         return self._keys
 
     def __len__(self) -> int:
-        return len(self._perms)
+        return len(self._walked())
 
     def __iter__(self) -> Iterator[Diagram]:
         """The members in discovery order."""
-        return (self._decode(key, perm) for key, perm in self._perms.items())
+        return (self._decode(key, perm) for key, perm in self._walked().items())
 
     def __contains__(self, d: Diagram) -> bool:
         """Exact membership: the class's input word and one of its keys."""
-        return d.input == self._d.input and self._key(d) in self._perms
+        if d.input != self._d.input:
+            return False
+        key = self._key(d)
+        if self._perms is not None:
+            return key in self._perms
+        # unwalked, so greedy: a diagram with the class's generators is a
+        # member exactly when its own greedy form is the class's least key
+        return (
+            key is not None
+            and sorted(key[1::2]) == sorted(self._start[1::2])
+            and _greedy(key, *self._sizes)[0] == self.least_key()
+        )
+
+    def _least_member(self) -> tuple[Key, tuple[int, ...]]:
+        if self._perms is None:
+            return _greedy(self._start, *self._sizes)
+        best = min(self._perms)
+        return best, self._perms[best]
 
     def least_key(self) -> Key:
         """The least member's key: the class's identity under its ranks."""
-        return min(self._perms)
+        return self._least_member()[0]
 
     def least(self) -> CanonicalForm:
         """The least member (keys compare as the slices' per-slice keys do)."""
-        best = self.least_key()
-        perm = self._perms[best]
+        best, perm = self._least_member()
         return CanonicalForm(self._decode(best, perm), perm)
 
     def member(self, i: int) -> Diagram:

@@ -21,6 +21,7 @@ from .errors import NumericError, SizeError, TypingError
 from .rng import Lcg
 
 DIM_LIMIT = 10**4
+ENTRY_LIMIT = 10**6  # entries of the largest block a numeric theorem check builds
 TOL_EXACT = 1e-12
 TOL_CHAIN = 1e-9
 COND_LIMIT = 1e8
@@ -217,9 +218,13 @@ class NumericReport:
 
 
 def _check_blocks(n: int, x: int) -> None:
-    """Refuse dims whose largest block, n^3 * x on a side, passes DIM_LIMIT."""
-    if n**3 * x > DIM_LIMIT:
+    """Refuse dims whose largest block, n^3 * x on a side, passes DIM_LIMIT
+    on a side or ENTRY_LIMIT in entries."""
+    side = n**3 * x
+    if side > DIM_LIMIT:
         raise SizeError(f"block side {n}^3*{x} exceeds limit {DIM_LIMIT}")
+    if side * side > ENTRY_LIMIT:
+        raise SizeError(f"block of ({n}^3*{x})^2 entries exceeds limit {ENTRY_LIMIT}")
 
 
 def check_theorem1_numeric(dim_a: int, dim_x: int, seed: int) -> NumericReport:
@@ -229,7 +234,7 @@ def check_theorem1_numeric(dim_a: int, dim_x: int, seed: int) -> NumericReport:
     The residuals cover the theorem's hypotheses (both squares hold for
     this alpha, beta pair) and its conclusion (gamma inverts alpha on both
     sides), each within TOL_CHAIN.  Dims whose blocks would pass DIM_LIMIT
-    are refused before anything is drawn.
+    or ENTRY_LIMIT are refused before anything is drawn.
     """
     n, x = dim_a, dim_x
     _check_blocks(n, x)
@@ -272,8 +277,8 @@ def check_theorem3_numeric(dim_n: int, dim_x: int) -> NumericReport:
     * the two-step composite on (B A) (x) X equals flip(n*n, x);
     * both zigzags and both inverse laws hold.
 
-    Dims whose blocks would pass DIM_LIMIT are refused before anything is
-    built.
+    Dims whose blocks would pass DIM_LIMIT or ENTRY_LIMIT are refused
+    before anything is built.
     """
     n, x = dim_n, dim_x
     _check_blocks(n, x)

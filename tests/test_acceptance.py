@@ -431,6 +431,8 @@ CLI_MATRIX = [
     (("matrix", "theorem1", "--dims", "200,200"), 3, None, "exceeds limit"),
     (("matrix", "theorem1", "--dims", "100,100"), 3, None, "exceeds limit"),
     (("matrix", "theorem3", "--dims", "100,100"), 3, None, "exceeds limit"),
+    (("matrix", "theorem1", "--dims", "1,10000"), 3, None, "exceeds limit"),
+    (("matrix", "theorem3", "--dims", "1,10000"), 3, None, "exceeds limit"),
     (("nope",), 3, None, "invalid choice"),
 ]
 

@@ -379,8 +379,13 @@ EIGHT_UNITS = "(u * (u * (u * (u * (u * (u * (u * u)))))))"  # a class of 8! mem
         (("matrix", "theorem1", "--dims", "200,200"), EXIT_USAGE, "exceeds limit"),
         (("matrix", "theorem1", "--dims", "100,100"), EXIT_USAGE, "exceeds limit"),
         (("matrix", "theorem3", "--dims", "100,100"), EXIT_USAGE, "exceeds limit"),
+        (("matrix", "theorem1", "--dims", "1,10000"), EXIT_USAGE, "exceeds limit"),
+        (("matrix", "theorem3", "--dims", "1,10000"), EXIT_USAGE, "exceeds limit"),
     ],
-    ids=["normalize-8-units", "power-5000", "power-10000000", "theorem1-200", "theorem1-100", "theorem3-100"],
+    ids=[
+        "normalize-8-units", "power-5000", "power-10000000", "theorem1-200", "theorem1-100", "theorem3-100",
+        "theorem1-1-10000", "theorem3-1-10000",
+    ],
 )
 def test_oversize_request_refused_quickly(capsys, argv, want_code, want_err):
     began = time.perf_counter()

@@ -1,13 +1,17 @@
+import itertools
+import random
 import time
-from collections import deque
+from collections import defaultdict, deque
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from commuter import exchange
 from commuter.core import (
     Diagram,
     MorGen,
+    Signature,
     Slice,
     boundaries,
     codomain,
@@ -18,6 +22,7 @@ from commuter.core import (
 )
 from commuter.errors import BudgetError, NotSwappableError
 from commuter.exchange import (
+    GREEDY_MAX_SLICES,
     LINEARIZATION_CAP,
     SwapClass,
     adjacent_swap,
@@ -27,7 +32,7 @@ from commuter.exchange import (
     swappable,
 )
 from commuter.rng import Lcg
-from commuter.sampling import random_diagram
+from commuter.sampling import applicable, random_diagram
 
 from conftest import soundness_signature
 
@@ -464,3 +469,132 @@ def test_only_the_first_class_can_pass_the_cap():
     assert not interchange_equal(CHAIN, SPREAD)
     with pytest.raises(BudgetError):
         interchange_equal(SPREAD, CHAIN)
+
+
+# ------------------------------------------------- greedy form vs the walk
+
+def wired_signature() -> Signature:
+    """Generators that all have wires in and out, so the greedy form serves
+    every class of 3 to GREEDY_MAX_SLICES slices."""
+    sig = Signature()
+    sig.add_object("P")
+    sig.add_object("Q")
+    sig.add_morphism("f", ("P",), ("Q",))
+    sig.add_morphism("g", ("Q", "P"), ("P",))
+    sig.add_morphism("s", ("P", "P"), ("P", "P"))
+    sig.add_morphism("t", ("Q",), ("P", "Q"))
+    sig.add_morphism("e", ("P",), ("P",))
+    return sig
+
+
+def every_diagram(sig, max_word, max_slices):
+    """Every well-typed diagram with an input of at most max_word objects
+    and at most max_slices slices."""
+    objects = sorted(sig.objects)
+    level = [Diagram(w, ()) for n in range(max_word + 1) for w in itertools.product(objects, repeat=n)]
+    out = []
+    for _ in range(max_slices):
+        out += level
+        level = [
+            Diagram(d.input, d.slices + (Slice(offset, sig.morphisms[name]),))
+            for d in level
+            for name, offset in applicable(sig, codomain(d))
+        ]
+    return out + level
+
+
+def assert_greedy_agrees(d, others):
+    """least() and membership of d's class against the reference walk, for
+    every member and for each of ``others``."""
+    cls = SwapClass(d)
+    least = cls.least()
+    assert (least.diagram, least.certificate) == reference_canonical(d)
+    members = reference_swap_class(d)
+    for slices in members:
+        assert Diagram(d.input, slices) in cls
+    for other in others:
+        assert (other in cls) == (other.input == d.input and other.slices in members)
+    greedy = 3 <= len(d.slices) <= GREEDY_MAX_SLICES
+    assert (cls._perms is None) == greedy  # the greedy form answered without a walk
+
+
+def test_greedy_form_matches_the_walk_on_every_small_diagram():
+    diagrams = list(every_diagram(wired_signature(), 3, 3))
+    assert len(diagrams) == 2421
+    same_gens = defaultdict(list)
+    for d in diagrams:
+        same_gens[d.input, tuple(sorted(s.gen.name for s in d.slices))].append(d)
+    for d in diagrams:
+        assert_greedy_agrees(d, same_gens[d.input, tuple(sorted(s.gen.name for s in d.slices))])
+
+
+def drawn_diagram(sig, rnd, max_slices, max_word):
+    """A random well-typed diagram, drawn with ``random.Random`` (the Lcg's
+    low bit alternates, so its words would too)."""
+    word = tuple(rnd.choice(sorted(sig.objects)) for _ in range(rnd.randint(0, max_word)))
+    d = Diagram(word, ())
+    for _ in range(rnd.randint(0, max_slices)):
+        options = applicable(sig, codomain(d))
+        if not options:
+            break
+        name, offset = rnd.choice(options)
+        d = Diagram(word, d.slices + (Slice(offset, sig.morphisms[name]),))
+    return d
+
+
+def test_greedy_form_matches_the_walk_on_seeded_diagrams():
+    sig, rnd = wired_signature(), random.Random(16)
+    for _ in range(400):
+        d = drawn_diagram(sig, rnd, GREEDY_MAX_SLICES, 6)
+        moved = [
+            Diagram(d.input, d.slices[:i] + (Slice(s.offset + step, s.gen),) + d.slices[i + 1 :])
+            for i, s in enumerate(d.slices)
+            for step in (-1, 1)
+        ]
+        assert_greedy_agrees(d, [m for m in moved if well_typed(m)])
+
+
+def shuffled_tensor(f, k, order):
+    return Diagram((f.dom[0],) * k, tuple(Slice(i, f) for i in order))
+
+
+@pytest.mark.parametrize("k", range(4, GREEDY_MAX_SLICES + 1))
+def test_tensors_answer_without_a_walk(k, monkeypatch):
+    def no_walk(*args):
+        raise AssertionError("walked a class the greedy form serves")
+
+    monkeypatch.setattr(exchange, "_walk", no_walk)
+    f = soundness_signature().morphisms["f"]
+    t1 = shuffled_tensor(f, k, random.Random(k).sample(range(k), k))
+    t2 = shuffled_tensor(f, k, reversed(range(k)))
+    c = canonicalize(t1)
+    assert c.diagram == shuffled_tensor(f, k, range(k))
+    assert tuple(t1.slices[p].offset for p in c.certificate) == tuple(range(k))
+    assert interchange_equal(t1, t2)
+
+
+@pytest.mark.parametrize("d", [SPREAD, unit_tensor(8)], ids=["spread", "unit_tensor8"])
+def test_classes_past_the_cap_still_refused(d):
+    for decide in (SwapClass, canonicalize, lambda d: interchange_equal(d, d)):
+        with pytest.raises(BudgetError) as exc:
+            decide(d)
+        assert exc.value.count_at_least == LINEARIZATION_CAP + 1
+
+
+@pytest.mark.parametrize("name", ["h", "k"])
+def test_empty_boundary_generators_keep_the_walk(name, monkeypatch):
+    sig = soundness_signature()
+    f, g = sig.morphisms["f"], sig.morphisms[name]
+    d = Diagram(("P", "P") + g.dom, (Slice(0, f), Slice(1, f), Slice(2, g)))
+    assert well_typed(d)
+    assert_walks_agree(d)
+    walks = []
+    walk = exchange._walk
+
+    def counted(*args):
+        walks.append(args[0])
+        return walk(*args)
+
+    monkeypatch.setattr(exchange, "_walk", counted)
+    assert canonicalize(d).diagram in SwapClass(adjacent_swap(d, 1))
+    assert len(walks) == 2  # both classes were walked

@@ -179,7 +179,8 @@ def test_numeric_checks_refuse_oversize_dims_before_building(monkeypatch):
 
     for name in ("eye", "flip", "random_matrix"):
         monkeypatch.setattr(f"commuter.matrix.{name}", no_allocation)
-    for n, x in ((22, 1), (100, 100), (200, 200)):  # n^3 * x > DIM_LIMIT
+    # n^3 * x > DIM_LIMIT, then (n^3 * x)^2 > ENTRY_LIMIT with a side within it
+    for n, x in ((22, 1), (100, 100), (200, 200), (1, 10000), (1, 1001), (10, 2)):
         with pytest.raises(SizeError, match="exceeds limit"):
             check_theorem1_numeric(n, x, 42)
         with pytest.raises(SizeError, match="exceeds limit"):
