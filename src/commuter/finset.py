@@ -2,13 +2,20 @@
 
 Sets are {0, .., n-1}; maps are lookup tables.  A functor acts on a whole
 stack of tables at once by numpy index arithmetic, so the copower comparison
-map is built in one pass; the atom and transpose checks enumerate maps.
-Encodings are fixed so that results are reproducible integers:
+map is built in one pass.  Encodings are fixed so that results are
+reproducible integers:
 
 * pairs over a copy index j0 and an element c0 (products J x C and coproducts
   of J copies of C alike) encode as ``j0 * |C| + c0``;
 * a function f : D -> Y encodes little-endian in base |Y|, as
   ``sum(f(d0) * |Y|**d0 for d0 in D)``.
+
+Since J x Y is the coproduct of J copies of Y, every map in the proof of the
+paper's Proposition 2 is one comparison map, that of ``(-)^D``: the strength
+J x Y^D -> (J x Y)^D is ``canonical_alpha(PowerS(|D|), |J|, Y)``; at Y = 1 it
+is the constants map J -> J^D that the atom scan tests; and precomposition
+with X x D -> X, read through transposes, is that map raised to the power X.
+Only the last step, D a retract of 1, is checked independently.
 
 The functor algebra is deliberately small: identity, product with a fixed
 set, power by a fixed set, coproduct of j copies, and composition.  Every
@@ -19,7 +26,6 @@ instead; powers are refused before they are computed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iproduct
 
 import numpy as np
 
@@ -150,21 +156,6 @@ def eval_obj(expr: FunctorExpr, c: FinSetObj) -> FinSetObj:
     raise TypeError(f"not a functor expression: {expr!r}")
 
 
-def encode_power(values: tuple[int, ...], base: int) -> int:
-    total = 0
-    for d0 in range(len(values) - 1, -1, -1):
-        total = total * base + values[d0]
-    return total
-
-
-def decode_power(code: int, base: int, length: int) -> tuple[int, ...]:
-    out = []
-    for _ in range(length):
-        out.append(code % base)
-        code //= base
-    return tuple(out)
-
-
 def _eval_tables(expr: FunctorExpr, tables: np.ndarray, dom: int, cod: int) -> np.ndarray:
     """F applied to each row of a (k, dom) int64 stack of maps dom -> cod.
 
@@ -210,7 +201,8 @@ def canonical_alpha(expr: FunctorExpr, j: int, c: FinSetObj) -> FinSetMap:
     On the j0-th copy it acts as F applied to the j0-th coprojection
     c0 |-> j0 * |C| + c0; all j coprojections go through F as one stack.
     Bijective whenever F preserves coproducts of j copies; the power
-    functors fail this in general.
+    functors fail this in general.  For F = (-)^D it is the strength
+    J x C^D -> (J x C)^D, sending (j0, f) to d0 |-> (j0, f(d0)).
     """
     fc = eval_obj(expr, c)
     cod = eval_obj(expr, FinSetObj(j * c.size))
@@ -220,29 +212,6 @@ def canonical_alpha(expr: FunctorExpr, j: int, c: FinSetObj) -> FinSetMap:
     coprojections = np.arange(rows * c.size).reshape(rows, c.size)
     table = _eval_tables(expr, coprojections, c.size, j * c.size)
     return FinSetMap(dom, cod, tuple(table.ravel().tolist()))
-
-
-def strength_map(j: FinSetObj, y: FinSetObj, d: FinSetObj) -> FinSetMap:
-    """J x (Y^D) -> (J x Y)^D, sending (j0, f) to d0 |-> (j0, f(d0))."""
-    jn, yn, dn = j.size, y.size, d.size
-    yd = FinSetObj(_power_size(yn, dn))
-    dom = FinSetObj(jn * yd.size)
-    cod = FinSetObj(_power_size(jn * yn, dn))
-    table = []
-    for j0 in range(jn):
-        for code in range(yd.size):
-            f = decode_power(code, max(yn, 1), dn)
-            g = tuple(j0 * yn + f[d0] for d0 in range(dn))
-            table.append(encode_power(g, jn * yn))
-    return FinSetMap(dom, cod, tuple(table))
-
-
-def natural_map_J_to_JD(j: FinSetObj, d: FinSetObj) -> FinSetMap:
-    """J -> J^D, sending each element to the constant function at it."""
-    jn, dn = j.size, d.size
-    cod = FinSetObj(_power_size(jn, dn))
-    table = tuple(encode_power((j0,) * dn, max(jn, 1)) for j0 in range(jn))
-    return FinSetMap(j, cod, table)
 
 
 def retract_of_one(d: FinSetObj) -> bool:
@@ -276,16 +245,20 @@ class AtomReport:
 def atom_strong_check(d: FinSetObj, max_j: int = 4) -> AtomReport:
     """Scan |J| = 0..max_j: is the constants map J -> J^D a bijection?
 
-    The verdict is positive only when every scanned J passes, which happens
-    exactly for |D| = 1; ``retract`` reports the independent retract-of-one
-    check for comparison.
+    Each row is the strength J x 1^D -> (J x 1)^D, which is the constants
+    map since 1^D = 1.  The verdict is positive only when every scanned J
+    passes, which happens exactly for |D| = 1; ``retract`` reports the
+    independent retract-of-one check for comparison.  A scan whose rows
+    together hold more than SIZE_LIMIT entries is refused before it starts.
     """
     if max_j < 2:
         raise ValueError("max_j must be at least 2 to be informative")
+    if max_j * (max_j + 1) // 2 > SIZE_LIMIT:
+        raise SizeError(f"atom scan to |J| = {max_j}: sum of |J| exceeds limit {SIZE_LIMIT}")
     flags = []
     sizes = []
     for jn in range(max_j + 1):
-        m = natural_map_J_to_JD(FinSetObj(jn), d)
+        m = canonical_alpha(PowerS(d.size), jn, FinSetObj(1))
         flags.append(m.is_bijective)
         sizes.append((m.dom.size, m.cod.size))
     return AtomReport(
@@ -298,26 +271,15 @@ def atom_strong_check(d: FinSetObj, max_j: int = 4) -> AtomReport:
     )
 
 
-def projection(x: int, d: int) -> FinSetMap:
-    """X x D -> X, pairs encoded x0 * d + d0."""
-    dom = FinSetObj(x * d)
-    return FinSetMap(dom, FinSetObj(x), tuple(x0 for x0 in range(x) for _ in range(d)))
-
-
 def hom_transpose_bijection(x: int, d: int, j: int) -> bool:
     """Is precomposition with the projection X x D -> X a bijection
-    hom(X, J) -> hom(X x D, J)?  Decided by listing both hom sets."""
-    proj = projection(x, d)
-    jj = FinSetObj(j)
-    _power_size(j, x)  # refuse before listing hom(X, J)
+    hom(X, J) -> hom(X x D, J)?  Read through transposes it is the map
+    J^X -> (J^D)^X induced by the constants map J -> J^D."""
+    eval_obj(PowerS(x), FinSetObj(j))  # refuse an oversized hom(X, J) first
+    if x == 0:
+        return True  # both hom sets hold only the empty map, whatever J^D is
     try:
-        total = _power_size(j, x * d)
+        constants = canonical_alpha(PowerS(d), j, FinSetObj(1))
+        return eval_map(PowerS(x), constants).is_bijective
     except SizeError:
         return False  # hom(X x D, J) outnumbers hom(X, J), which fits the limit
-    images = set()
-    count = 0
-    for table in iproduct(range(j), repeat=x):
-        f = FinSetMap(FinSetObj(x), jj, table)
-        images.add(compose_maps(proj, f).table)
-        count += 1
-    return len(images) == count and count == total

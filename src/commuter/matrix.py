@@ -21,7 +21,7 @@ from .errors import NumericError, SizeError, TypingError
 from .rng import Lcg
 
 DIM_LIMIT = 10**4
-ENTRY_LIMIT = 10**6  # entries of the largest block a numeric theorem check builds
+ENTRY_LIMIT = 10**6  # entries of a random matrix, or of the largest block a numeric theorem check builds
 TOL_EXACT = 1e-12
 TOL_CHAIN = 1e-9
 COND_LIMIT = 1e8
@@ -138,6 +138,8 @@ def random_matrix(rows: int, cols: int, rng: Lcg) -> np.ndarray:
     """Entries drawn uniformly from [-1, 1)."""
     if rows > DIM_LIMIT or cols > DIM_LIMIT:
         raise SizeError(f"random matrix {rows}x{cols} exceeds limit {DIM_LIMIT}")
+    if rows * cols > ENTRY_LIMIT:
+        raise SizeError(f"random matrix of {rows}x{cols} entries exceeds limit {ENTRY_LIMIT}")
     # row-major, so the draws fill the matrix in the order they are taken
     return np.array([rng.symmetric() for _ in range(rows * cols)]).reshape(rows, cols)
 
@@ -286,11 +288,9 @@ def check_theorem3_numeric(dim_n: int, dim_x: int) -> NumericReport:
     b = flip(n, x)
     binv = flip(x, n)
     eta, eps = dual_pair(n)
-    # expression: (A X) -> (A X B A) -> (A B X A) -> (X A), bottom-up
-    grow = kron(eye(n * x), eta)
-    pass_back = kron(eye(n), binv, eye(n))
-    collapse = kron(eps, eye(x * n))
-    expression = collapse @ pass_back @ grow
+    # expression: (A X) -> (A X B A) -> (A B X A) -> (X A), bottom-up,
+    # the companion composite of binv
+    expression = companion_gamma(binv, n, x)
     # composite on (B A) (x) X: slide X past A, then past B
     composite = kron(b, eye(n)) @ kron(eye(n), a)
     zig_a = kron(eps, eye(n)) @ kron(eye(n), eta)

@@ -426,6 +426,8 @@ CLI_MATRIX = [
     (("finset", "copower", "--power", "-1", "--j", "2", "--c", "1"), 3, None, "argument --power: invalid"),
     (("finset", "copower", "--power", "5000", "--j", "2", "--c", "10"), 3, None, "exceeds limit"),
     (("finset", "copower", "--power", "10000000", "--j", "2", "--c", "10"), 3, None, "exceeds limit"),
+    (("finset", "atom", "--d", "1", "--max-j", "20000"), 3, None, "exceeds limit"),
+    (("finset", "atom", "--d", "0", "--max-j", "1000000000"), 3, None, "exceeds limit"),
     (("matrix", "theorem1", "--dims", "2,3", "--seed", "42"), 0, "  ok", None),
     (("matrix", "theorem3", "--dims", "3,3"), 0, "0.000e+00", None),
     (("matrix", "theorem1", "--dims", "200,200"), 3, None, "exceeds limit"),

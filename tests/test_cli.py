@@ -376,6 +376,8 @@ EIGHT_UNITS = "(u * (u * (u * (u * (u * (u * (u * u)))))))"  # a class of 8! mem
         (("normalize", "--file", MONOID, "--lhs", EIGHT_UNITS), EXIT_BUDGET, "more than 10000 linearizations"),
         (("finset", "copower", "--power", "5000", "--j", "2", "--c", "10"), EXIT_USAGE, "exceeds limit"),
         (("finset", "copower", "--power", "10000000", "--j", "2", "--c", "10"), EXIT_USAGE, "exceeds limit"),
+        (("finset", "atom", "--d", "1", "--max-j", "20000"), EXIT_USAGE, "exceeds limit"),
+        (("finset", "atom", "--d", "0", "--max-j", "1000000000"), EXIT_USAGE, "exceeds limit"),
         (("matrix", "theorem1", "--dims", "200,200"), EXIT_USAGE, "exceeds limit"),
         (("matrix", "theorem1", "--dims", "100,100"), EXIT_USAGE, "exceeds limit"),
         (("matrix", "theorem3", "--dims", "100,100"), EXIT_USAGE, "exceeds limit"),
@@ -383,8 +385,8 @@ EIGHT_UNITS = "(u * (u * (u * (u * (u * (u * (u * u)))))))"  # a class of 8! mem
         (("matrix", "theorem3", "--dims", "1,10000"), EXIT_USAGE, "exceeds limit"),
     ],
     ids=[
-        "normalize-8-units", "power-5000", "power-10000000", "theorem1-200", "theorem1-100", "theorem3-100",
-        "theorem1-1-10000", "theorem3-1-10000",
+        "normalize-8-units", "power-5000", "power-10000000", "atom-max-j-20000", "atom-max-j-10^9",
+        "theorem1-200", "theorem1-100", "theorem3-100", "theorem1-1-10000", "theorem3-1-10000",
     ],
 )
 def test_oversize_request_refused_quickly(capsys, argv, want_code, want_err):

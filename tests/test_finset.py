@@ -1,3 +1,5 @@
+from itertools import product as iproduct
+
 import pytest
 
 from commuter.errors import SizeError, TypingError
@@ -10,19 +12,15 @@ from commuter.finset import (
     Id,
     PowerS,
     TimesS,
+    _power_size,
     atom_strong_check,
     canonical_alpha,
     compose_maps,
-    decode_power,
-    encode_power,
     eval_map,
     eval_obj,
     hom_transpose_bijection,
     identity_map,
-    natural_map_J_to_JD,
-    projection,
     retract_of_one,
-    strength_map,
 )
 from commuter.rng import Lcg
 
@@ -106,10 +104,10 @@ def test_powers_refused_before_they_are_computed():
     with pytest.raises(SizeError, match=r"10\^10000000 exceeds limit"):
         eval_obj(PowerS(10**7), FinSetObj(10))
     with pytest.raises(SizeError):
-        strength_map(FinSetObj(2), FinSetObj(2), FinSetObj(10**6))
+        canonical_alpha(PowerS(10**6), 2, FinSetObj(2))  # the strength 2 x 2^D -> 4^D
     with pytest.raises(SizeError):
-        natural_map_J_to_JD(FinSetObj(2), FinSetObj(10**6))
-    assert natural_map_J_to_JD(FinSetObj(1), FinSetObj(10**6)).table == (0,)
+        canonical_alpha(PowerS(10**6), 2, FinSetObj(1))  # the constants map 2 -> 2^D
+    assert canonical_alpha(PowerS(10**6), 1, FinSetObj(1)).table == (0,)
 
 
 def test_eval_map_times_table():
@@ -165,6 +163,21 @@ def test_functoriality(expr):
 
 # ------------------------------------------------- element-by-element reference
 
+def encode_power(values: tuple[int, ...], base: int) -> int:
+    total = 0
+    for d0 in range(len(values) - 1, -1, -1):
+        total = total * base + values[d0]
+    return total
+
+
+def decode_power(code: int, base: int, length: int) -> tuple[int, ...]:
+    out = []
+    for _ in range(length):
+        out.append(code % base)
+        code //= base
+    return tuple(out)
+
+
 def reference_eval_map(expr, f: FinSetMap) -> FinSetMap:
     """F(f) built one table entry at a time."""
     match expr:
@@ -198,6 +211,49 @@ def reference_alpha(expr, j: int, c: FinSetObj) -> FinSetMap:
     for j0 in range(j):
         table.extend(reference_eval_map(expr, inclusion(j0, j, c)).table)
     return FinSetMap(FinSetObj(j * fc.size), cod, tuple(table))
+
+
+def reference_strength(j: FinSetObj, y: FinSetObj, d: FinSetObj) -> FinSetMap:
+    """J x (Y^D) -> (J x Y)^D, sending (j0, f) to d0 |-> (j0, f(d0))."""
+    jn, yn, dn = j.size, y.size, d.size
+    yd = FinSetObj(_power_size(yn, dn))
+    dom = FinSetObj(jn * yd.size)
+    cod = FinSetObj(_power_size(jn * yn, dn))
+    table = []
+    for j0 in range(jn):
+        for code in range(yd.size):
+            f = decode_power(code, max(yn, 1), dn)
+            g = tuple(j0 * yn + f[d0] for d0 in range(dn))
+            table.append(encode_power(g, jn * yn))
+    return FinSetMap(dom, cod, tuple(table))
+
+
+def reference_constants(j: FinSetObj, d: FinSetObj) -> FinSetMap:
+    """J -> J^D, sending each element to the constant function at it."""
+    jn, dn = j.size, d.size
+    cod = FinSetObj(_power_size(jn, dn))
+    table = tuple(encode_power((j0,) * dn, max(jn, 1)) for j0 in range(jn))
+    return FinSetMap(j, cod, table)
+
+
+def projection(x: int, d: int) -> FinSetMap:
+    """X x D -> X, pairs encoded x0 * d + d0."""
+    dom = FinSetObj(x * d)
+    return FinSetMap(dom, FinSetObj(x), tuple(x0 for x0 in range(x) for _ in range(d)))
+
+
+def reference_transpose(x: int, d: int, j: int) -> bool:
+    """hom_transpose_bijection by listing hom(X, J) and precomposing each
+    map with the projection X x D -> X."""
+    proj = projection(x, d).table
+    FinSetObj(j)  # the codomain of every listed map
+    _power_size(j, x)  # refuse before listing hom(X, J)
+    try:
+        total = _power_size(j, x * d)
+    except SizeError:
+        return False  # hom(X x D, J) outnumbers hom(X, J), which fits the limit
+    images = {tuple(f[x0] for x0 in proj) for f in iproduct(range(j), repeat=x)}
+    return len(images) == j**x == total
 
 
 def outcome(fn, *args):
@@ -235,6 +291,52 @@ def test_tables_match_elementwise_reference():
                     outcome(canonical_alpha, expr, j, c_obj), outcome(reference_alpha, expr, j, c_obj)
                 )
     assert built >= 10000  # nearly every case fits SIZE_LIMIT, so tables are compared, not only refusals
+
+
+def test_strength_matches_elementwise_reference():
+    built = 0
+    for jn in range(6):
+        for yn in range(6):
+            for dn in range(6):
+                got = outcome(canonical_alpha, PowerS(dn), jn, FinSetObj(yn))
+                want = outcome(reference_strength, FinSetObj(jn), FinSetObj(yn), FinSetObj(dn))
+                built += assert_same_map(got, want)
+    assert built == 212  # refused only where (J x Y)^5 has 16^5, 20^5 (twice) or 25^5 elements
+
+
+def test_constants_map_and_atom_rows_match_elementwise_reference():
+    for dn in range(12):
+        for jn in range(12):
+            assert_same_map(
+                outcome(canonical_alpha, PowerS(dn), jn, FinSetObj(1)),
+                outcome(reference_constants, FinSetObj(jn), FinSetObj(dn)),
+            )
+    for dn in range(6):
+        for max_j in range(2, 6):
+            rows = [outcome(reference_constants, FinSetObj(jn), FinSetObj(dn)) for jn in range(max_j + 1)]
+            refused = next((r for r in rows if isinstance(r, str)), None)
+            want = refused or (
+                tuple(m.is_bijective for m in rows),
+                tuple((m.dom.size, m.cod.size) for m in rows),
+            )
+            report = outcome(atom_strong_check, FinSetObj(dn), max_j)
+            assert (report if isinstance(report, str) else (report.bijective, report.sizes)) == want
+
+
+# x = 0: both hom sets hold only the empty map, however large J^D is; a J
+# past the limit is still refused
+EMPTY_X_CASES = ((0, 30, 2), (0, 10**6, 2), (0, 5, 10**6), (0, 5, 10**6 + 1))
+# hom(X, J) past the limit is refused; past it only in hom(X x D, J) is not a bijection
+OVERSIZE_CASES = ((30, 1, 2), (1, 30, 2), (3, 7, 8))
+
+
+def test_transpose_matches_listing_reference():
+    grid = tuple(iproduct(range(8), repeat=3))
+    for x, d, j in grid + EMPTY_X_CASES + OVERSIZE_CASES:
+        assert outcome(hom_transpose_bijection, x, d, j) == outcome(reference_transpose, x, d, j), (x, d, j)
+    assert [outcome(hom_transpose_bijection, *c) for c in EMPTY_X_CASES] == [
+        True, True, True, "set of size 1000001 exceeds limit 1000000"
+    ]
 
 
 # ---------------------------------------------------------------- comparisons
@@ -295,12 +397,12 @@ def test_canonical_alpha_naturality():
 # ---------------------------------------------------------------- strength
 
 def test_strength_small_is_identity():
-    m = strength_map(FinSetObj(2), FinSetObj(2), FinSetObj(1))
+    m = canonical_alpha(PowerS(1), 2, FinSetObj(2))
     assert m.table == (0, 1, 2, 3)
 
 
 def test_strength_shape_and_entry():
-    m = strength_map(FinSetObj(2), FinSetObj(2), FinSetObj(2))
+    m = canonical_alpha(PowerS(2), 2, FinSetObj(2))
     assert (m.dom.size, m.cod.size) == (8, 16)
     assert m.is_injective and not m.is_surjective
     # (j0=1, f=(0,1)) sits at index 1*4+2 and lands on the function (2,3)
@@ -308,10 +410,10 @@ def test_strength_shape_and_entry():
 
 
 def test_natural_map_constants():
-    m = natural_map_J_to_JD(FinSetObj(2), FinSetObj(2))
+    m = canonical_alpha(PowerS(2), 2, FinSetObj(1))
     assert m.table == (0, 3)
-    assert natural_map_J_to_JD(FinSetObj(1), FinSetObj(3)).table == (0,)
-    collapsed = natural_map_J_to_JD(FinSetObj(2), FinSetObj(0))
+    assert canonical_alpha(PowerS(3), 1, FinSetObj(1)).table == (0,)
+    collapsed = canonical_alpha(PowerS(0), 2, FinSetObj(1))
     assert (collapsed.dom.size, collapsed.cod.size) == (2, 1)
     assert collapsed.table == (0, 0)
 
@@ -349,6 +451,14 @@ def test_atom_failure_rows():
 def test_atom_check_needs_informative_scan():
     with pytest.raises(ValueError):
         atom_strong_check(FinSetObj(1), max_j=1)
+
+
+def test_atom_scan_bounded_by_its_table_entries():
+    assert atom_strong_check(FinSetObj(0), max_j=1413).failures()[:3] == [0, 2, 3]  # 998,991 entries
+    with pytest.raises(SizeError, match=r"^atom scan to \|J\| = 1414: sum of \|J\| exceeds limit 1000000$"):
+        atom_strong_check(FinSetObj(1), max_j=1414)  # 1,000,405 entries
+    with pytest.raises(SizeError, match="exceeds limit"):
+        atom_strong_check(FinSetObj(1), max_j=10**9)
 
 
 # ---------------------------------------------------------------- transposes

@@ -8,6 +8,7 @@ from commuter.exchange import adjacent_swap, canonicalize, linearizations, swapp
 from commuter.matrix import (
     COND_LIMIT,
     DIM_LIMIT,
+    ENTRY_LIMIT,
     TOL_CHAIN,
     TOL_EXACT,
     ModelAssignment,
@@ -55,8 +56,18 @@ def test_kron_associative_and_guarded():
         eye(DIM_LIMIT + 1)
     with pytest.raises(SizeError):
         random_matrix(DIM_LIMIT + 1, 1, rng)
-    with pytest.raises(SizeError):
+    with pytest.raises(SizeError, match="^random matrix 1x10001 exceeds limit 10000$"):
         random_matrix(1, DIM_LIMIT + 1, rng)
+
+
+def test_random_matrix_bounds_entries():
+    rng = Lcg(5)
+    state = rng.state
+    for rows, cols in ((10**4, 10**4), (1001, 1000), (DIM_LIMIT, ENTRY_LIMIT // DIM_LIMIT + 1)):
+        want = f"^random matrix of {rows}x{cols} entries exceeds limit {ENTRY_LIMIT}$"
+        with pytest.raises(SizeError, match=want):
+            random_matrix(rows, cols, rng)
+    assert rng.state == state  # refused before a single draw
 
 
 def test_dual_pair_zigzags_exact():
