@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Sweep the numeric and finite-set models over seeds and sizes.
 
-Covers the matrix checks on a seed x dimension grid, the copower comparison
-map for both functor families, and the atom scan for small exponents.
+Covers the matrix checks on a seed x dimension grid and at the largest
+dimensions they accept, the copower comparison map for both functor
+families, and the atom scan for small exponents.
 Prints one row per case; exits nonzero if anything lands out of tolerance.
 """
 
@@ -30,6 +31,15 @@ def main():
         r = check_theorem3_numeric(dn, dx)
         flag = "ok" if r.ok and r.worst() == 0.0 else "FAIL"
         print(f"  N={dn} X={dx} worst={r.worst():.1e} {flag}")
+        bad += flag != "ok"
+
+    print("== matrix: both checks at the size bound, n^3 * x <= 1000 ==")
+    for n in range(1, 11):
+        dx = 1000 // n**3
+        r1 = check_theorem1_numeric(n, dx, SEEDS[0])
+        r3 = check_theorem3_numeric(n, dx)
+        flag = "ok" if r1.ok and r3.ok and r3.worst() == 0.0 else "FAIL"
+        print(f"  N={n} X={dx} theorem1 worst={r1.worst():.3e} theorem3 worst={r3.worst():.1e} {flag}")
         bad += flag != "ok"
 
     print("== finset: copower comparison ==")

@@ -127,8 +127,9 @@ def _residual_report(out: Output, command: str, report) -> int:
     label = " ".join(f"{k}={v}" for k, v in report.dims.items())
     seed_part = f" seed={report.seed}" if report.seed is not None else ""
     out.text(f"{command} dims {label}{seed_part} tolerance {report.tolerance:g}")
+    width = max(map(len, report.residuals), default=0)
     for name, value in report.residuals.items():
-        out.text(f"  {name:<24} {value:.3e}")
+        out.text(f"  {name:<{width}} {value:.3e}")
     verdict = "ok" if report.ok else "FAILED"
     out.text(f"  {out.mark(verdict, report.ok)}")
     out.emit(

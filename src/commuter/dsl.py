@@ -77,8 +77,10 @@ def tokenize(text: str) -> list[Token]:
                 i = m.end()
                 continue
             raise ParseError(f"unexpected character {ch!r}", ln, col)
-    last_line = text.count("\n") + 1
-    out.append(Token("EOF", "", last_line, 1))
+    # one column past the last line, so an error at the end of a term typed
+    # without a trailing newline points after its last character
+    last_line = text[text.rfind("\n") + 1 :]
+    out.append(Token("EOF", "", text.count("\n") + 1, len(last_line) + 1))
     return out
 
 

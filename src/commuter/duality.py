@@ -13,13 +13,17 @@ terms in that document, proved exactly as ``commuter prove`` would prove it:
   co-commutation a on the nose.
 * ``theorem1_dual``: the mirrored composite delta inverts the B-side
   co-commutation b, using only the co-variant squares and the zigzags.
+
+``statements`` lists a document's rules and goals as diagram pairs; the
+matrix model checks evaluate exactly these, so each theorem is stated once.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from pathlib import Path
 
-from .core import MorGen, Signature
+from .core import Diagram, MorGen, Signature
 from .dsl import Document, load_document, parse_term
 from .prover import ProofTrace, prove_equal, rules_from_signature
 
@@ -42,6 +46,17 @@ GOALS = {
 def load_theorem(name: str) -> Document:
     """Parse the shipped document of one theorem."""
     return load_document(THEOREMS / f"{name}.cmt")
+
+
+@cache
+def statements(name: str) -> tuple[tuple[str, Diagram, Diagram], ...]:
+    """(label, lhs, rhs) for every rule of a theorem in declaration order,
+    then every goal.  Parsed once per process: the numeric checks read
+    these on every run, and a parse costs more than a check."""
+    doc = load_theorem(name)
+    rules = tuple((r.name, r.lhs, r.rhs) for r in doc.signature.equations.values())
+    goals = tuple((label, parse_term(lhs, doc), parse_term(rhs, doc)) for label, lhs, rhs in GOALS[name])
+    return rules + goals
 
 
 def prove_theorem(name: str) -> list[tuple[str, ProofTrace]]:

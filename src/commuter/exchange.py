@@ -121,10 +121,6 @@ def adjacent_swap(d: Diagram, i: int) -> Diagram:
     return Diagram(d.input, d.slices[:i] + pair + d.slices[i + 2 :])
 
 
-def swappable(d: Diagram, i: int) -> bool:
-    return _swap_adjacent(d.slices[i], d.slices[i + 1]) is not None
-
-
 Key = tuple[int, ...]
 
 _ORDER = attrgetter("index", "name", "dom", "cod")

@@ -4,6 +4,12 @@ Vectors are columns, so composition is matrix multiplication on the left:
 evaluating ``compose(f, g)`` yields ``M(g) @ M(f)``.  A word's index space is
 mixed-radix big-endian over the letters, matching numpy's kron convention.
 
+The numeric theorem checks state nothing of their own: they evaluate each
+rule and goal of a shipped theorem document (``duality.statements``) with
+``eval_diagram`` in one model, and report one residual per statement.  Only
+the model's inputs are built here: a random alpha with its mate beta, or
+flips for the co-commutations.
+
 Two tolerances are used throughout: TOL_EXACT for identities that hold to
 rounding (permutation matrices, re-bracketing), TOL_CHAIN for identities
 reached through a matrix inverse, where conditioning enters.
@@ -17,6 +23,7 @@ from functools import reduce
 import numpy as np
 
 from .core import Diagram, Word, intermediate_words
+from .duality import statements
 from .errors import NumericError, SizeError, TypingError
 from .rng import Lcg
 
@@ -167,8 +174,8 @@ def mate_beta(alpha: np.ndarray, dim_a: int, dim_x: int) -> np.ndarray:
     """The companion map X (x) B -> B (x) X induced by alpha : X A -> A X.
 
     B shares A's dimension and the diagonal dual pair relates them.
-    Assembled directly from Kronecker blocks (not via eval_diagram) so the
-    two construction routes stay independent:
+    Assembled directly from Kronecker blocks, not via eval_diagram, so the
+    model that the theorem check evaluates is built independently of it:
 
         (I_{B X} (x) eps) (I_B (x) alpha^{-1} (x) I_B) (eta (x) I_{X B})
 
@@ -185,24 +192,6 @@ def mate_beta(alpha: np.ndarray, dim_a: int, dim_x: int) -> np.ndarray:
     middle = kron(eye(n), inv, eye(n))
     drop = kron(eye(n * x), eps)
     return drop @ middle @ lift
-
-
-def companion_gamma(beta: np.ndarray, dim_a: int, dim_x: int) -> np.ndarray:
-    """The candidate inverse A (x) X -> X (x) A assembled from the companion:
-
-        (eps (x) I_{X A}) (I_A (x) beta (x) I_A) (I_{A X} (x) eta)
-
-    read bottom-up on column vectors.
-    """
-    n = dim_a
-    x = dim_x
-    if beta.shape != (n * x, x * n):
-        raise TypingError(f"beta is {beta.shape}, expected {(n * x, x * n)}")
-    eta, eps = dual_pair(n)
-    grow = kron(eye(n * x), eta)
-    middle = kron(eye(n), beta, eye(n))
-    collapse = kron(eps, eye(x * n))
-    return collapse @ middle @ grow
 
 
 @dataclass(frozen=True)
@@ -229,83 +218,61 @@ def _check_blocks(n: int, x: int) -> None:
         raise SizeError(f"block of ({n}^3*{x})^2 entries exceeds limit {ENTRY_LIMIT}")
 
 
-def check_theorem1_numeric(dim_a: int, dim_x: int, seed: int) -> NumericReport:
-    """Draw a random invertible alpha : X A -> A X and test the full chain.
-
-    beta is the mate of alpha's inverse, gamma the eta/beta/eps composite.
-    The residuals cover the theorem's hypotheses (both squares hold for
-    this alpha, beta pair) and its conclusion (gamma inverts alpha on both
-    sides), each within TOL_CHAIN.  Dims whose blocks would pass DIM_LIMIT
-    or ENTRY_LIMIT are refused before anything is drawn.
-    """
-    n, x = dim_a, dim_x
-    _check_blocks(n, x)
-    rng = Lcg(seed)
-    alpha = random_alpha(n * x, n * x, rng)
-    beta = mate_beta(alpha, n, x)
-    gamma = companion_gamma(beta, n, x)
+def _check_document(
+    name: str,
+    n: int,
+    x: int,
+    mats: dict[str, np.ndarray],
+    dims: dict[str, int],
+    tolerance: float,
+    seed: int | None = None,
+) -> NumericReport:
+    """Evaluate every rule and goal of a theorem document with A = B = n and
+    X = x; one residual per statement, keyed by its rule name or goal label."""
     eta, eps = dual_pair(n)
-    # unit square: eta (x) I_X = (I_B (x) alpha)(beta (x) I_A)(I_X (x) eta)
-    eta_lhs = kron(eta, eye(x))
-    eta_rhs = kron(eye(n), alpha) @ kron(beta, eye(n)) @ kron(eye(x), eta)
-    # counit square: (eps (x) I_X)(I_A (x) beta)(alpha (x) I_B) = I_X (x) eps
-    eps_lhs = kron(eps, eye(x)) @ kron(eye(n), beta) @ kron(alpha, eye(n))
-    eps_rhs = kron(eye(x), eps)
+    model = ModelAssignment({"A": n, "B": n, "X": x}, {"eta": eta, "eps": eps, **mats})
     residuals = {
-        "eta_square": float(np.max(np.abs(eta_lhs - eta_rhs))),
-        "eps_square": float(np.max(np.abs(eps_lhs - eps_rhs))),
-        "gamma_then_alpha": float(np.max(np.abs(alpha @ gamma - eye(n * x)))),
-        "alpha_then_gamma": float(np.max(np.abs(gamma @ alpha - eye(x * n)))),
+        label: float(np.max(np.abs(eval_diagram(lhs, model) - eval_diagram(rhs, model))))
+        for label, lhs, rhs in statements(name)
     }
     return NumericReport(
-        dims={"A": n, "X": x},
+        dims=dims,
         residuals=residuals,
-        tolerance=TOL_CHAIN,
-        ok=all(v <= TOL_CHAIN for v in residuals.values()),
+        tolerance=tolerance,
+        ok=all(v <= tolerance for v in residuals.values()),
         seed=seed,
     )
 
 
+def check_theorem1_numeric(dim_a: int, dim_x: int, seed: int) -> NumericReport:
+    """Draw a random invertible alpha : X A -> A X, take beta as the mate of
+    its inverse, and evaluate the ``theorem1`` document in that model.
+
+    The residuals cover the triangles and both squares (the theorem's
+    hypotheses, which hold for this alpha, beta pair) and both goals (gamma
+    inverts alpha on either side), each within TOL_CHAIN.  Dims whose blocks
+    would pass DIM_LIMIT or ENTRY_LIMIT are refused before anything is drawn.
+    """
+    n, x = dim_a, dim_x
+    _check_blocks(n, x)
+    alpha = random_alpha(n * x, n * x, Lcg(seed))
+    mats = {"alpha": alpha, "beta": mate_beta(alpha, n, x)}
+    return _check_document("theorem1", n, x, mats, {"A": n, "X": x}, TOL_CHAIN, seed)
+
+
 def check_theorem3_numeric(dim_n: int, dim_x: int) -> NumericReport:
-    """Instantiate the pass-across maps as flips and check every identity.
+    """Instantiate the pass-across maps as flips and evaluate the
+    ``theorem3`` document in that model.
 
-    A and B share dimension n so the diagonal dual pair relates them:
-    eta picks out 1 -> B (x) A, eps collapses A (x) B -> 1.  The actions
-    are a = flip(n, x) : A X -> X A and b = flip(n, x) : B X -> X B, with
-    binv = flip(x, n).  All composites are 0/1 permutation matrices, so
-    every residual must be exactly zero (within TOL_EXACT):
-
-    * the eta/binv/eps expression on A (x) X reproduces a;
-    * the two-step composite on (B A) (x) X equals flip(n*n, x);
-    * both zigzags and both inverse laws hold.
-
-    Dims whose blocks would pass DIM_LIMIT or ENTRY_LIMIT are refused
-    before anything is built.
+    A and B share dimension n so the diagonal dual pair relates them.  The
+    actions are a = flip(n, x) : A X -> X A and b = flip(n, x) : B X -> X B,
+    with binv = flip(x, n).  Every matrix is 0/1 and every composite a
+    permutation, so each residual (triangles, inverse laws, co-squares and
+    the goal expr = a) must be exactly zero, within TOL_EXACT.  Dims whose
+    blocks would pass DIM_LIMIT or ENTRY_LIMIT are refused before anything
+    is built.
     """
     n, x = dim_n, dim_x
     _check_blocks(n, x)
-    a = flip(n, x)
-    b = flip(n, x)
-    binv = flip(x, n)
-    eta, eps = dual_pair(n)
-    # expression: (A X) -> (A X B A) -> (A B X A) -> (X A), bottom-up,
-    # the companion composite of binv
-    expression = companion_gamma(binv, n, x)
-    # composite on (B A) (x) X: slide X past A, then past B
-    composite = kron(b, eye(n)) @ kron(eye(n), a)
-    zig_a = kron(eps, eye(n)) @ kron(eye(n), eta)
-    zig_b = kron(eye(n), eps) @ kron(eta, eye(n))
-    residuals = {
-        "expression_vs_action": float(np.max(np.abs(expression - a))),
-        "composite_vs_flip": float(np.max(np.abs(composite - flip(n * n, x)))),
-        "zigzag_A": float(np.max(np.abs(zig_a - eye(n)))),
-        "zigzag_B": float(np.max(np.abs(zig_b - eye(n)))),
-        "binv_left": float(np.max(np.abs(binv @ b - eye(n * x)))),
-        "binv_right": float(np.max(np.abs(b @ binv - eye(x * n)))),
-    }
-    return NumericReport(
-        dims={"A": n, "B": n, "X": x},
-        residuals=residuals,
-        tolerance=TOL_EXACT,
-        ok=all(v <= TOL_EXACT for v in residuals.values()),
-    )
+    mats = {"a": flip(n, x), "b": flip(n, x), "binv": flip(x, n)}
+    return _check_document("theorem3", n, x, mats, {"A": n, "B": n, "X": x}, TOL_EXACT)

@@ -1,10 +1,12 @@
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from commuter.core import Signature
 from commuter.duality import THEOREMS
-from commuter.matrix import ModelAssignment, random_matrix
+from commuter.errors import TypingError
+from commuter.matrix import ModelAssignment, dual_pair, eye, kron, random_matrix
 from commuter.rng import Lcg
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -37,6 +39,25 @@ def soundness_model(sig: Signature) -> ModelAssignment:
             cols *= dims[o]
         mats[gen.name] = random_matrix(rows, cols, rng)
     return ModelAssignment(dims=dims, mats=mats)
+
+
+def companion_gamma(beta: np.ndarray, dim_a: int, dim_x: int) -> np.ndarray:
+    """The candidate inverse A (x) X -> X (x) A assembled from Kronecker
+    blocks, independently of ``eval_diagram``:
+
+        (eps (x) I_{X A}) (I_A (x) beta (x) I_A) (I_{A X} (x) eta)
+
+    read bottom-up on column vectors.
+    """
+    n = dim_a
+    x = dim_x
+    if beta.shape != (n * x, x * n):
+        raise TypingError(f"beta is {beta.shape}, expected {(n * x, x * n)}")
+    eta, eps = dual_pair(n)
+    grow = kron(eye(n * x), eta)
+    middle = kron(eye(n), beta, eye(n))
+    collapse = kron(eps, eye(x * n))
+    return collapse @ middle @ grow
 
 
 @pytest.fixture(scope="session")

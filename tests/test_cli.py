@@ -136,6 +136,14 @@ def test_check_bad_syntax_exits_3(capsys):
     assert err == "commuter: ParseError: 5:1: expected ')' (expected ')')\n"
 
 
+def test_truncated_term_error_points_past_its_end(capsys):
+    # a term has no trailing newline: the end of input sits after its last character
+    code, out, err = run(capsys, "normalize", "--file", MONOID, "--lhs", "(u ; u")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == "commuter: ParseError: 1:7: expected ')' (expected ')')\n"
+
+
 def test_check_bad_typing_exits_3(capsys):
     code, out, err = run(capsys, "check", "--file", str(FIXTURES / "bad_typing.cmt"))
     assert code == EXIT_USAGE
@@ -276,9 +284,12 @@ def test_matrix_theorem1_random_dims(capsys):
     assert code == EXIT_OK
     lines = out.splitlines()
     assert lines[0] == "matrix-theorem1 dims A=2 X=3 seed=42 tolerance 1e-09"
-    labels = [ln.split()[0] for ln in lines[1:5]]
-    assert labels == ["eta_square", "eps_square", "gamma_then_alpha", "alpha_then_gamma"]
-    assert lines[5] == "  ok"
+    labels = [ln.rsplit(maxsplit=1)[0].strip() for ln in lines[1:7]]
+    assert labels == [
+        "triangle_A", "triangle_B", "eta_square", "eps_square",
+        "alpha after gamma = id A X", "gamma after alpha = id X A",
+    ]
+    assert lines[7] == "  ok"
 
 
 def test_matrix_theorem3_exact_zeros(capsys):
@@ -286,9 +297,18 @@ def test_matrix_theorem3_exact_zeros(capsys):
     assert code == EXIT_OK
     lines = out.splitlines()
     assert lines[0] == "matrix-theorem3 dims A=3 B=3 X=3 tolerance 1e-12"
-    for ln in lines[1:7]:
+    for ln in lines[1:8]:
         assert ln.endswith("0.000e+00")
-    assert lines[7] == "  ok"
+    assert lines[8] == "  ok"
+
+
+@pytest.mark.parametrize("dims", ["1,1000", "10,1"])
+def test_matrix_checks_hold_at_the_largest_accepted_dims(capsys, dims):
+    # n^3 * x = 1000: each side of the widest word at the size bound
+    for check in ("theorem1", "theorem3"):
+        code, out, err = run(capsys, "matrix", check, "--dims", dims)
+        assert (code, err) == (EXIT_OK, "")
+        assert out.splitlines()[-1] == "  ok"
 
 
 # ------------------------------------------------------------ structured IO
@@ -469,8 +489,8 @@ def test_structured_mode_suppresses_text(capsys):
                     "record": "report", "command": "matrix-theorem3",
                     "dims": {"A": 2, "B": 2, "X": 2}, "seed": None,
                     "residuals": dict.fromkeys(
-                        ("binv_left", "binv_right", "composite_vs_flip",
-                         "expression_vs_action", "zigzag_A", "zigzag_B"),
+                        ("triangle_A", "triangle_B", "b_inv_left", "b_inv_right",
+                         "eta_cosquare", "eps_cosquare", "unit-counit composite = a"),
                         0.0,
                     ),
                     "tolerance": 1e-12, "ok": True,

@@ -49,6 +49,19 @@ def test_tokenize_kinds_and_positions():
     ]
 
 
+def test_tokenize_places_end_of_input_past_the_last_line():
+    def eof(text):
+        tok = tokenize(text)[-1]
+        assert tok.kind == "EOF"
+        return tok.line, tok.col
+
+    assert eof("(u ; u") == (1, 7)
+    assert eof("obj X\nobj Y") == (2, 6)
+    assert eof("obj X # note") == (1, 13)
+    assert eof("obj X\n") == (2, 1)  # a file ending in a newline keeps its positions
+    assert eof("") == (1, 1)
+
+
 def test_tokenize_keywords_are_reserved_kinds():
     kinds = [t.kind for t in tokenize("obj gen dia rule id idx obj_")]
     assert kinds == ["OBJ", "GEN", "DIA", "RULE", "ID", "NAME", "NAME", "EOF"]

@@ -29,7 +29,6 @@ from commuter.exchange import (
     canonicalize,
     interchange_equal,
     linearizations,
-    swappable,
 )
 from commuter.rng import Lcg
 from commuter.sampling import applicable, random_diagram
@@ -168,12 +167,10 @@ def test_swap_rejects_overlapping_wires():
         adjacent_swap(GAMMA, 0)  # beta consumes a wire eta created
     with pytest.raises(NotSwappableError):
         adjacent_swap(GAMMA, 1)  # eps consumes a wire beta created
-    assert not swappable(GAMMA, 0)
 
 
 def test_swap_rejects_insertion_strictly_inside_a_block():
     d = Diagram((), (Slice(0, ETA), Slice(1, ETA)))  # second lands inside [0, 2)
-    assert not swappable(d, 0)
     with pytest.raises(NotSwappableError):
         adjacent_swap(d, 0)
 
@@ -181,8 +178,8 @@ def test_swap_rejects_insertion_strictly_inside_a_block():
 def test_swap_allows_insertion_at_block_edges():
     left_edge = Diagram((), (Slice(0, ETA), Slice(0, ETA)))
     right_edge = Diagram((), (Slice(0, ETA), Slice(2, ETA)))
-    assert swappable(left_edge, 0)
-    assert swappable(right_edge, 0)
+    assert adjacent_swap(left_edge, 0) == right_edge  # NotSwappableError if refused
+    assert adjacent_swap(right_edge, 0) == left_edge
     assert interchange_equal(left_edge, right_edge)
 
 
